@@ -3,9 +3,9 @@ earthquake early warning networks: detection delay, detection location and
 population-weighted warning-time distributions over random network
 geometries."""
 
-from .detection import Detection, DetectorParams, PhoneParams, PhoneTrigger, detect, detection_metrics, simulate_triggers
+from .detection import Detection, DetectorParams, PhoneParams, Triggers, detect, detection_metrics, simulate_triggers
 from .geo import GeoPoint, Grid, MmiBin, exposure_histogram, haversine_km, parse_ascii_grid, sample_at
-from .montecarlo import DensityGrid, GridSpec, McSummary, RunResult, detection_density, percentile, run_campaign, run_replica
+from .montecarlo import DensityGrid, McSummary, RunResult, detection_density, percentile, run_campaign, run_replica
 from .network import Catalog, Network, SeedSpec, load_catalog, sample_network, synth_catalog
 from .scenario import Earthquake, VelocityModel, hypocentral_km, p_arrival_s, s_arrival_s
 from .warning import AlertParams, WarningBand, WarningStats, warning_field, warning_stats, warning_vs_n, weighted_percentile
@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlertParams", "Catalog", "Detection", "DensityGrid", "DetectorParams",
-    "Earthquake", "GeoPoint", "Grid", "GridSpec", "McSummary", "MmiBin",
-    "Network", "PhoneParams", "PhoneTrigger", "RunResult", "SeedSpec",
+    "Earthquake", "GeoPoint", "Grid", "McSummary", "MmiBin",
+    "Network", "PhoneParams", "RunResult", "SeedSpec", "Triggers",
     "VelocityModel", "WarningBand", "WarningStats",
     "detect", "detection_density", "detection_metrics", "exposure_histogram",
     "haversine_km", "hypocentral_km", "load_catalog", "p_arrival_s",

@@ -26,7 +26,7 @@ from .geo import (
     format_ascii_grid,
     parse_ascii_grid,
 )
-from .montecarlo import GridSpec, read_runs_csv, run_campaign
+from .montecarlo import read_runs_csv, run_campaign
 from .network import Catalog, format_catalog, load_catalog, synth_catalog
 
 EXIT_OK = 0
@@ -139,13 +139,10 @@ def cmd_simulate(cfg: RunConfig, quiet: bool = False, catalog: Catalog | None = 
         montecarlo.write_summary_csv(buf, summaries)
         outputs.write(cfg.out_dir / "summary.csv", buf.getvalue())
 
-        spec = GridSpec.like(pop)
         for n in cfg.n_grid:
             subset = [r for r in results if r.n == n]
             try:
-                density = montecarlo.detection_density(
-                    subset, spec, cfg.density_bandwidth_deg
-                )
+                density = montecarlo.detection_density(subset, pop, cfg.density_bandwidth_deg)
             except NoDetections:
                 _say(quiet, f"n={n}: no detections, skipping density grid")
                 continue
@@ -182,7 +179,7 @@ def cmd_warn(cfg: RunConfig, quiet: bool = False) -> None:
     n_max = max({r.n for r in results})
     try:
         det, _ = warning.mode_conditioned_detection(
-            results, n_max, cfg.earthquake, GridSpec.like(pop), cfg.density_bandwidth_deg
+            results, n_max, cfg.earthquake, pop, cfg.density_bandwidth_deg
         )
     except NoDetections:
         _say(quiet, f"n={n_max}: no detections, writing empty warning_hist.csv")

@@ -1,13 +1,21 @@
 """Two-step earthquake detection simulation.
 
-Step one draws per-phone triggers: each monitoring phone independently
-notices the P wave with probability ``p_detect`` and reports it after a
-uniform random delay. Step two is the server-side declaration: scanning
-triggers in time order, a detection fires at the first trigger that closes
-a time window holding at least ``k_min`` triggers. With no background
-(false) triggers in the simulation, this count threshold is the whole
-detector; its location estimate is the coordinate-wise median of the
-contributing triggers, robust against a stray distant phone.
+Step one draws per-phone triggers on a network of n phones (sampled from
+the catalog in O(n) by a sparse Fisher-Yates, whatever the catalog size):
+each phone independently notices the P wave with probability ``p_detect``
+and reports it after a uniform random delay. The triggers are kept as
+columns sorted by (time, lat, lon). Step two is the server-side
+declaration: scanning triggers in time order, a detection fires at the
+first trigger that closes a time window holding at least ``k_min``
+triggers. With no background (false) triggers in the simulation, this
+count threshold is the whole detector; its location estimate is the
+coordinate-wise median of the contributing triggers, robust against a
+stray distant phone.
+
+The scan has a closed form. At the first firing trigger j the window held
+fewer than k_min triggers one step earlier, so it now holds exactly
+k_min: triggers j-k_min+1..j. The detector therefore fires at the first j
+with t[j-k_min+1] > t[j] - window_s.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -62,10 +69,16 @@ class DetectorParams:
             raise ValueError(f"window_s must be > 0, got {self.window_s}")
 
 
-@dataclass(frozen=True)
-class PhoneTrigger:
-    location: GeoPoint
-    trigger_time_s: float
+@dataclass(frozen=True, eq=False)
+class Triggers:
+    """One earthquake's phone triggers as columns sorted by (time, lat, lon)."""
+
+    times: np.ndarray
+    lats: np.ndarray
+    lons: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.times.size)
 
 
 @dataclass(frozen=True)
@@ -83,7 +96,7 @@ def simulate_triggers(
     vm: VelocityModel,
     pp: PhoneParams,
     seed: SeedSpec,
-) -> list[PhoneTrigger]:
+) -> Triggers:
     """Draw the triggers one earthquake produces on one network.
 
     Each phone is included with probability ``p_detect``; an included phone
@@ -100,43 +113,37 @@ def simulate_triggers(
     lats = net.lats[included]
     lons = net.lons[included]
     order = np.lexsort((lons, lats, times))
-    return [
-        PhoneTrigger(
-            location=GeoPoint(float(lats[i]), float(lons[i])),
-            trigger_time_s=float(times[i]),
-        )
-        for i in order
-    ]
+    return Triggers(times[order], lats[order], lons[order])
 
 
-def detect(triggers: Sequence[PhoneTrigger], dp: DetectorParams) -> Detection | None:
+def detect(triggers: Triggers, dp: DetectorParams) -> Detection | None:
     """Apply the sliding-window count detector to time-sorted triggers.
 
     Scanning in time order, the detection is declared at the first trigger
     t_j with at least k_min triggers inside the half-open window
     (t_j - window_s, t_j]; the contributing set is the earliest k_min
-    triggers in that window. Returns None when no window ever fills.
+    triggers in that window, which are j-k_min+1..j. Returns None when no
+    window ever fills.
     """
-    times = [t.trigger_time_s for t in triggers]
-    for prev, cur in zip(times, times[1:]):
-        if cur < prev:
-            raise UnsortedInput("triggers must be sorted ascending by time")
-
-    left = 0
-    for j, t_j in enumerate(times):
-        cutoff = t_j - dp.window_s
-        while times[left] <= cutoff:
-            left += 1
-        if j - left + 1 >= dp.k_min:
-            contributing = tuple(range(left, left + dp.k_min))
-            lat = statistics.median(triggers[i].location.lat for i in contributing)
-            lon = statistics.median(triggers[i].location.lon for i in contributing)
-            return Detection(
-                time_s=t_j,
-                location=GeoPoint(lat, lon),
-                contributing=contributing,
-            )
-    return None
+    t = triggers.times
+    if (t[1:] < t[:-1]).any():
+        raise UnsortedInput("triggers must be sorted ascending by time")
+    k = dp.k_min
+    if t.size < k:
+        return None
+    fired = np.flatnonzero(t[: t.size - k + 1] > t[k - 1 :] - dp.window_s)
+    if fired.size == 0:
+        return None
+    first = int(fired[0])
+    last = first + k - 1
+    return Detection(
+        time_s=float(t[last]),
+        location=GeoPoint(
+            statistics.median(triggers.lats[first : last + 1].tolist()),
+            statistics.median(triggers.lons[first : last + 1].tolist()),
+        ),
+        contributing=tuple(range(first, last + 1)),
+    )
 
 
 def detection_metrics(det: Detection, eq: Earthquake) -> tuple[float, float]:

@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .detection import DetectorParams, PhoneParams, detect, detection_metrics, simulate_triggers
-from .errors import EmptyInput, NoDetections
+from .errors import ConfigError, EmptyInput, NoDetections
 from .geo import GeoPoint, Grid, cell_center
 from .network import Catalog, SeedSpec, sample_network
 from .scenario import Earthquake, VelocityModel
@@ -120,7 +120,7 @@ def worker_count(max_workers: int | None = None) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
+            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     return 1
 
 
@@ -192,24 +192,6 @@ def run_campaign(
 # --- detection-location density ----------------------------------------------
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Geometry of an evaluation grid (no values)."""
-
-    ncols: int
-    nrows: int
-    xll: float
-    yll: float
-    cellsize: float
-
-    @classmethod
-    def like(cls, grid: Grid) -> "GridSpec":
-        return cls(
-            ncols=grid.ncols, nrows=grid.nrows,
-            xll=grid.xll, yll=grid.yll, cellsize=grid.cellsize,
-        )
-
-
-@dataclass(frozen=True)
 class DensityGrid:
     """Kernel density of detection locations, normalized over its grid."""
 
@@ -235,10 +217,10 @@ def silverman_bandwidth_deg(lats: np.ndarray, lons: np.ndarray) -> float:
 
 def detection_density(
     results: Sequence[RunResult],
-    grid_spec: GridSpec,
+    like: Grid,
     bandwidth_deg: float | None = None,
 ) -> DensityGrid:
-    """Gaussian-kernel density of detection locations on a fixed grid.
+    """Gaussian-kernel density of detection locations on the geometry of ``like``.
 
     The density is renormalized so cell-sum * cell-area == 1 over the grid.
     The mode is the center of the maximum-density cell; ties resolve to the
@@ -252,34 +234,25 @@ def detection_density(
 
     h = bandwidth_deg if bandwidth_deg is not None else silverman_bandwidth_deg(lats, lons)
     if not (math.isfinite(h) and h > 0):
-        h = grid_spec.cellsize
+        h = like.cellsize
 
-    lat_c = grid_spec.yll + (grid_spec.nrows - 1 - np.arange(grid_spec.nrows) + 0.5) * grid_spec.cellsize
-    lon_c = grid_spec.xll + (np.arange(grid_spec.ncols) + 0.5) * grid_spec.cellsize
+    lat_c = like.lat_centers()
+    lon_c = like.lon_centers()
     inv = 1.0 / (2.0 * h * h)
-    dens = np.zeros((grid_spec.nrows, grid_spec.ncols))
+    dens = np.zeros((like.nrows, like.ncols))
     for k in range(lats.size):
         dlat2 = (lat_c - lats[k]) ** 2
         dlon2 = (lon_c - lons[k]) ** 2
         dens += np.exp(-(dlat2[:, None] + dlon2[None, :]) * inv)
 
-    area = grid_spec.cellsize * grid_spec.cellsize
-    total = dens.sum() * area
+    total = dens.sum() * like.cell_area_deg2
     if total <= 0:
         raise ValueError("kernel mass underflowed to zero on the evaluation grid")
     dens /= total
 
     flat_mode = int(np.argmax(dens))
-    row, col = divmod(flat_mode, grid_spec.ncols)
-    grid = Grid(
-        ncols=grid_spec.ncols,
-        nrows=grid_spec.nrows,
-        xll=grid_spec.xll,
-        yll=grid_spec.yll,
-        cellsize=grid_spec.cellsize,
-        nodata=-9999.0,
-        values=dens,
-    )
+    row, col = divmod(flat_mode, like.ncols)
+    grid = replace(like, nodata=-9999.0, values=dens)
     return DensityGrid(grid=grid, bandwidth_deg=float(h), mode=cell_center(grid, row, col))
 
 

@@ -90,44 +90,21 @@ class Catalog:
     def point(self, i: int) -> GeoPoint:
         return GeoPoint(float(self.lats[i]), float(self.lons[i]))
 
-    @property
-    def points(self) -> tuple[GeoPoint, ...]:
-        return tuple(GeoPoint(la, lo) for la, lo in zip(self.lats.tolist(), self.lons.tolist()))
-
-    @classmethod
-    def from_points(cls, points: Iterable[GeoPoint], source: str = "") -> "Catalog":
-        pts = list(points)
-        return cls(
-            lats=np.array([p.lat for p in pts], dtype=np.float64),
-            lons=np.array([p.lon for p in pts], dtype=np.float64),
-            source=source,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """A size-n subset of the catalog: the phones monitoring right now."""
+    """A size-n subset of the catalog: the phones monitoring right now.
+
+    A plain holder: :func:`sample_network` fills it from an already
+    validated catalog with distinct indices, so it checks nothing again.
+    """
 
     lats: np.ndarray
     lons: np.ndarray
     catalog_indices: np.ndarray
 
-    def __post_init__(self):
-        idx = np.array(self.catalog_indices, dtype=np.int64, order="C", copy=True)
-        if np.unique(idx).size != idx.size:
-            raise ValueError("catalog_indices must be pairwise distinct")
-        lats, lons = _coord_arrays(self.lats, self.lons)
-        idx.setflags(write=False)
-        object.__setattr__(self, "lats", lats)
-        object.__setattr__(self, "lons", lons)
-        object.__setattr__(self, "catalog_indices", idx)
-
     def __len__(self) -> int:
         return int(self.lats.size)
-
-    @property
-    def points(self) -> tuple[GeoPoint, ...]:
-        return tuple(GeoPoint(la, lo) for la, lo in zip(self.lats.tolist(), self.lons.tolist()))
 
 
 # --- catalog I/O -------------------------------------------------------------
@@ -212,6 +189,9 @@ def sample_network(cat: Catalog, n: int, seed: SeedSpec) -> Network:
 
     Partial Fisher-Yates over the index array; all swap targets are drawn
     in one vectorized call so the result is a pure function of the seed.
+    The index array stays virtual: only the positions a swap moved are
+    stored, so a replica costs O(n) whatever the catalog size. Step i
+    fixes position i for good (later swaps touch only positions > i).
     """
     N = len(cat)
     if n < 1:
@@ -219,10 +199,11 @@ def sample_network(cat: Catalog, n: int, seed: SeedSpec) -> Network:
     if n > N:
         raise NTooLarge(f"network size {n} exceeds catalog size {N}")
     rng = seed.generator(STREAM_NETWORK)
-    js = rng.integers(np.arange(n), N)
-    idx = np.arange(N)
-    for i in range(n):
-        j = js[i]
-        idx[i], idx[j] = idx[j], idx[i]
-    chosen = idx[:n].copy()
-    return Network(lats=cat.lats[chosen], lons=cat.lons[chosen], catalog_indices=chosen)
+    js = rng.integers(np.arange(n), N).tolist()
+    moved: dict[int, int] = {}
+    chosen = []
+    for i, j in enumerate(js):
+        chosen.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    idx = np.array(chosen, dtype=np.int64)
+    return Network(lats=cat.lats[idx], lons=cat.lons[idx], catalog_indices=idx)

@@ -13,7 +13,7 @@ empirical quantile under equal weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import IO, Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 from .detection import Detection
 from .errors import EmptyBins, EmptyInput, NoDetections
 from .geo import Grid, MmiBin, check_disjoint_bins, sample_values
-from .montecarlo import DensityGrid, GridSpec, RunResult, detection_density, percentile
+from .montecarlo import DensityGrid, RunResult, detection_density, percentile
 from .scenario import Earthquake, VelocityModel, s_arrivals_s
 
 
@@ -103,13 +103,7 @@ def warning_field(
     """
     lat2, lon2 = pop.center_mesh()
     w = s_arrivals_s(eq, vm, lat2, lon2) - det.time_s - ap.dissemination_latency_s
-    values = np.where(pop.mask, w, pop.nodata)
-    return Grid(
-        ncols=pop.ncols, nrows=pop.nrows,
-        xll=pop.xll, yll=pop.yll,
-        cellsize=pop.cellsize, nodata=pop.nodata,
-        values=values,
-    )
+    return replace(pop, values=np.where(pop.mask, w, pop.nodata))
 
 
 def _histogram(w: np.ndarray, pops: np.ndarray, width: float) -> tuple[tuple[float, float, float], ...]:
@@ -250,7 +244,7 @@ def mode_conditioned_detection(
     results: Sequence[RunResult],
     n: int,
     eq: Earthquake,
-    grid_spec: GridSpec,
+    like: Grid,
     bandwidth_deg: float | None = None,
 ) -> tuple[Detection, DensityGrid]:
     """The 'expected detection' for one n: density mode + mean detection time.
@@ -263,7 +257,7 @@ def mode_conditioned_detection(
     detected = [r for r in mine if r.detected]
     if not detected:
         raise NoDetections(f"no detected replica at n={n}")
-    density = detection_density(mine, grid_spec, bandwidth_deg)
+    density = detection_density(mine, like, bandwidth_deg)
     mean_time = eq.origin_time_s + fmean(r.delay_s for r in detected)
     det = Detection(time_s=mean_time, location=density.mode, contributing=())
     return det, density

@@ -18,7 +18,7 @@ from eewsim.cli import main as cli_main
 from eewsim.demo import write_demo
 from eewsim.detection import DetectorParams, PhoneParams, detect, simulate_triggers
 from eewsim.geo import GeoPoint, MmiBin, cell_center, parse_ascii_grid
-from eewsim.montecarlo import GridSpec, detection_density, run_campaign, run_replica
+from eewsim.montecarlo import detection_density, run_campaign, run_replica
 from eewsim.network import Catalog, SeedSpec, sample_network
 from eewsim.scenario import Earthquake, p_arrivals_s, s_arrival_s
 from eewsim.warning import (
@@ -156,14 +156,12 @@ def test_criterion_04_monotone_performance_in_n(campaign4):
 
 def test_criterion_05_density_contraction(demo_catalog, demo_quake, vmodel, demo_pop):
     t0 = time.perf_counter()
-    spec = GridSpec.like(demo_pop)
-
     def area95(master_seed, n):
         _, results = run_campaign(
             demo_catalog, demo_quake, vmodel, PhoneParams(), DetectorParams(),
             [n], 150, master_seed,
         )
-        dg = detection_density(results, spec)
+        dg = detection_density(results, demo_pop)
         masses = np.sort((dg.grid.values * dg.grid.cell_area_deg2).ravel())[::-1]
         cells = int(np.searchsorted(np.cumsum(masses), 0.95) + 1)
         return cells * dg.grid.cell_area_deg2
@@ -267,7 +265,7 @@ def test_criterion_08_positive_warning_regime(demo_catalog, demo_quake, vmodel,
         demo_catalog, demo_quake, vmodel, PhoneParams(), DetectorParams(),
         [3000], 200, master_seed=8008,
     )
-    det, _ = mode_conditioned_detection(results, 3000, demo_quake, GridSpec.like(demo_pop))
+    det, _ = mode_conditioned_detection(results, 3000, demo_quake, demo_pop)
     w = warning_field(det, demo_quake, vmodel, AlertParams(), demo_pop)
     stats = warning_stats(w, demo_mmi, demo_pop, DEFAULT_BINS)
     means = {str(ws.bin): ws.mean_s for ws in stats}

@@ -244,3 +244,11 @@ class TestBadConfig:
         (rundir / "mmi.asc").write_text(format_ascii_grid(bad), encoding="utf-8")
         assert run(rundir, "exposure") == 2
         assert "[0, 12]" in capsys.readouterr().err
+
+    def test_non_integer_thread_count_exit_2(self, rundir, capsys, monkeypatch):
+        monkeypatch.setenv("EEWSIM_THREADS", "abc")
+        assert run(rundir, "simulate") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "EEWSIM_THREADS" in err[0]
+        assert not (rundir / "out" / "runs.csv").exists()

@@ -6,7 +6,7 @@ from eewsim.detection import (
     Detection,
     DetectorParams,
     PhoneParams,
-    PhoneTrigger,
+    Triggers,
     detect,
     detection_metrics,
     simulate_triggers,
@@ -15,7 +15,7 @@ from eewsim.errors import UnsortedInput
 from eewsim.geo import GeoPoint
 from eewsim.network import Catalog, Network, SeedSpec, sample_network
 from eewsim.scenario import Earthquake, VelocityModel, p_arrival_s
-from testutil import detect_oracle, random_triggers
+from testutil import detect_oracle, random_triggers, sorted_triggers
 
 
 def quake(depth=0.0, origin=0.0, lat=18.0, lon=-72.0):
@@ -31,7 +31,9 @@ def net_of(points):
 
 
 def triggers_at(times):
-    return [PhoneTrigger(GeoPoint(18.0, -72.0), float(t)) for t in times]
+    # deliberately unsorted-capable: the caller's order is kept
+    m = len(times)
+    return Triggers(np.asarray(times, dtype=float), np.full(m, 18.0), np.full(m, -72.0))
 
 
 class TestParams:
@@ -55,7 +57,7 @@ class TestSimulateTriggers:
         net = net_of([GeoPoint(18.1, -72.1)] * 5)
         out = simulate_triggers(net, quake(), VelocityModel(), PhoneParams(p_detect=0.0),
                                 SeedSpec(1, 5, 0))
-        assert out == []
+        assert len(out) == 0
 
     def test_degenerate_delay_exact_time(self):
         # phone at hypocentral 65 km (depth 65, at epicenter), v_p 6.5, delay 1.0
@@ -64,7 +66,7 @@ class TestSimulateTriggers:
         pp = PhoneParams(p_detect=1.0, delay_lo_s=1.0, delay_hi_s=1.0)
         out = simulate_triggers(net, eq, VelocityModel(), pp, SeedSpec(1, 1, 0))
         assert len(out) == 1
-        assert out[0].trigger_time_s == pytest.approx(11.0, abs=1e-12)
+        assert out.times[0] == pytest.approx(11.0, abs=1e-12)
 
     def test_sorted_with_tie_break(self):
         rng = np.random.default_rng(17)
@@ -73,13 +75,15 @@ class TestSimulateTriggers:
         net = sample_network(cat, 200, spec)
         out = simulate_triggers(net, quake(depth=10), VelocityModel(), PhoneParams(),
                                 spec)
-        keys = [(t.trigger_time_s, t.location.lat, t.location.lon) for t in out]
+        keys = list(zip(out.times.tolist(), out.lats.tolist(), out.lons.tolist()))
         assert keys == sorted(keys)
 
     def test_deterministic(self):
         net = net_of([GeoPoint(18.1, -72.1), GeoPoint(18.2, -72.2), GeoPoint(18.3, -72.3)])
         args = (net, quake(depth=10), VelocityModel(), PhoneParams(), SeedSpec(9, 3, 2))
-        assert simulate_triggers(*args) == simulate_triggers(*args)
+        a, b = simulate_triggers(*args), simulate_triggers(*args)
+        for col in ("times", "lats", "lons"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
 
     def test_trigger_floor_respected(self):
         eq = quake(depth=12.0)
@@ -88,9 +92,9 @@ class TestSimulateTriggers:
         rng = np.random.default_rng(31)
         pts = [GeoPoint(rng.uniform(17, 20), rng.uniform(-74, -71)) for _ in range(50)]
         out = simulate_triggers(net_of(pts), eq, vm, pp, SeedSpec(3, 50, 1))
-        for t in out:
-            floor = p_arrival_s(eq, vm, t.location) + pp.delay_lo_s
-            assert t.trigger_time_s >= floor - 1e-12
+        for t, lat, lon in zip(out.times, out.lats, out.lons):
+            floor = p_arrival_s(eq, vm, GeoPoint(lat, lon)) + pp.delay_lo_s
+            assert t >= floor - 1e-12
 
     def test_trigger_count_binomial(self):
         # n=1000 at p_detect=0.7: total over 100 seeds within the exact 99% interval
@@ -117,7 +121,7 @@ class TestDetect:
         assert detect(triggers_at([1, 5, 9]), DetectorParams(k_min=3, window_s=1)) is None
 
     def test_empty_input(self):
-        assert detect([], DetectorParams(k_min=2, window_s=5)) is None
+        assert detect(triggers_at([]), DetectorParams(k_min=2, window_s=5)) is None
 
     def test_window_half_open(self):
         # (t_j - W, t_j]: a trigger exactly W before t_j is outside
@@ -130,13 +134,12 @@ class TestDetect:
             detect(triggers_at([2, 1, 3]), DetectorParams(k_min=2, window_s=5))
 
     def test_median_location_odd_and_even(self):
-        pts = [GeoPoint(18.0, -72.0), GeoPoint(18.2, -72.4), GeoPoint(18.6, -72.2)]
-        trig = [PhoneTrigger(p, 1.0 + i) for i, p in enumerate(pts)]
+        trig = sorted_triggers([1.0, 2.0, 3.0], [18.0, 18.2, 18.6], [-72.0, -72.4, -72.2])
         det = detect(trig, DetectorParams(k_min=3, window_s=10))
         assert det.location == GeoPoint(18.2, -72.2)
-        det2 = detect(trig[:2] + [PhoneTrigger(GeoPoint(18.4, -72.3), 3.0),
-                                  PhoneTrigger(GeoPoint(18.8, -72.1), 4.0)],
-                      DetectorParams(k_min=4, window_s=10))
+        trig2 = sorted_triggers([1.0, 2.0, 3.0, 4.0], [18.0, 18.2, 18.4, 18.8],
+                                [-72.0, -72.4, -72.3, -72.1])
+        det2 = detect(trig2, DetectorParams(k_min=4, window_s=10))
         assert det2.location == GeoPoint((18.2 + 18.4) / 2, (-72.3 + -72.1) / 2)
 
     def test_matches_oracle_on_random_instances(self):
@@ -145,7 +148,12 @@ class TestDetect:
         for _ in range(300):
             trig = random_triggers(rng, int(rng.integers(0, 21)))
             k_min = int(rng.integers(2, 7))
-            window = float(rng.uniform(0.5, 12.0))
+            # times are multiples of 0.1, so these windows land exactly on
+            # trigger spacings and probe the half-open window's closed end
+            if rng.random() < 0.3:
+                window = float(rng.choice([0.5, 1.0, 2.0]))
+            else:
+                window = float(rng.uniform(0.5, 12.0))
             got = detect(trig, DetectorParams(k_min=k_min, window_s=window))
             want = detect_oracle(trig, k_min, window)
             if want is None:
@@ -165,9 +173,8 @@ class TestDetect:
         dp = DetectorParams(k_min=3, window_s=4.0)
         want = detect(base, dp)
         for _ in range(20):
-            shuffled = list(base)
-            rng.shuffle(shuffled)
-            shuffled.sort(key=lambda t: (t.trigger_time_s, t.location.lat, t.location.lon))
+            perm = rng.permutation(len(base))
+            shuffled = sorted_triggers(base.times[perm], base.lats[perm], base.lons[perm])
             assert detect(shuffled, dp) == want
 
     def test_adding_trigger_never_delays_detection(self):
@@ -176,10 +183,10 @@ class TestDetect:
         for _ in range(100):
             trig = random_triggers(rng, int(rng.integers(3, 15)))
             before = detect(trig, dp)
-            extra = random_triggers(rng, 1)[0]
-            augmented = sorted(
-                trig + [extra],
-                key=lambda t: (t.trigger_time_s, t.location.lat, t.location.lon),
+            extra = random_triggers(rng, 1)
+            augmented = sorted_triggers(
+                *(np.concatenate([getattr(trig, c), getattr(extra, c)])
+                  for c in ("times", "lats", "lons"))
             )
             after = detect(augmented, dp)
             if before is not None:

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from eewsim.detection import DetectorParams, PhoneParams
-from eewsim.errors import EmptyInput, NoDetections, NTooLarge
+from eewsim.errors import ConfigError, EmptyInput, NoDetections, NTooLarge
 from eewsim.geo import GeoPoint, cell_center
 from eewsim.montecarlo import (
     DensityGrid,
-    GridSpec,
     McSummary,
     RunResult,
     detection_density,
@@ -23,7 +22,7 @@ from eewsim.montecarlo import (
 )
 from eewsim.network import Catalog
 from eewsim.scenario import Earthquake, VelocityModel
-from testutil import linear_percentile_oracle
+from testutil import linear_percentile_oracle, make_grid
 
 
 def colocated_catalog(point, n):
@@ -182,7 +181,7 @@ class TestCampaign:
 
 class TestDetectionDensity:
     def spec(self):
-        return GridSpec(ncols=10, nrows=8, xll=-73.0, yll=18.0, cellsize=0.1)
+        return make_grid(np.zeros((8, 10)), xll=-73.0, yll=18.0, cellsize=0.1)
 
     def detected(self, lat, lon, n=300, replica=0):
         return RunResult(
@@ -213,7 +212,7 @@ class TestDetectionDensity:
 
     def test_mode_tie_breaks_to_first_row_major_cell(self):
         # one detection exactly on a 4-cell corner: 4 equal-density cells
-        spec = GridSpec(ncols=4, nrows=4, xll=0.0, yll=0.0, cellsize=1.0)
+        spec = make_grid(np.zeros((4, 4)))
         results = [self.detected(2.0, 2.0)]
         dg = detection_density(results, spec, bandwidth_deg=0.7)
         assert dg.mode == cell_center(dg.grid, 1, 1)
@@ -275,7 +274,7 @@ class TestWorkerCount:
         monkeypatch.setenv("EEWSIM_THREADS", "6")
         assert worker_count() == 6
         monkeypatch.setenv("EEWSIM_THREADS", "bogus")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             worker_count()
 
     def test_default_serial(self, monkeypatch):

@@ -11,15 +11,15 @@ from eewsim.errors import (
 )
 from eewsim.geo import GeoPoint
 from eewsim.network import (
+    STREAM_NETWORK,
     Catalog,
-    Network,
     SeedSpec,
     format_catalog,
     load_catalog,
     sample_network,
     synth_catalog,
 )
-from testutil import make_grid
+from testutil import dense_sample_indices, make_grid
 
 
 class TestLoadCatalog:
@@ -135,6 +135,18 @@ class TestSampleNetwork:
         c = sample_network(cat, 10, SeedSpec(5, 10, 4))
         assert not np.array_equal(a.catalog_indices, c.catalog_indices)
 
+    def test_matches_dense_fisher_yates(self):
+        # the sparse sampler makes the same swaps as the O(N) array version
+        rng = np.random.default_rng(2024)
+        cases = [(1, 1), (7, 7), (50, 50), (2, 1), (200_000, 40)]
+        cases += [(int(N), int(rng.integers(1, N + 1))) for N in rng.integers(1, 400, 60)]
+        for k, (N, n) in enumerate(cases):
+            cat = self.cat(N)
+            spec = SeedSpec(int(rng.integers(2**63)), n, k)
+            got = sample_network(cat, n, spec).catalog_indices
+            want = dense_sample_indices(spec.generator(STREAM_NETWORK), N, n)
+            assert got.tolist() == want.tolist(), (N, n)
+
     def test_errors(self):
         cat = self.cat(4)
         with pytest.raises(NTooLarge):
@@ -160,12 +172,3 @@ class TestSeedSpec:
         spec = SeedSpec(42, 100, 0)
         assert not np.array_equal(spec.generator(1).random(8), spec.generator(2).random(8))
 
-
-class TestNetworkInvariants:
-    def test_duplicate_indices_rejected(self):
-        with pytest.raises(ValueError):
-            Network(
-                lats=np.array([1.0, 2.0]),
-                lons=np.array([3.0, 4.0]),
-                catalog_indices=np.array([0, 0]),
-            )

@@ -4,7 +4,7 @@ import pytest
 from eewsim.detection import Detection
 from eewsim.errors import EmptyBins, EmptyInput, NoDetections
 from eewsim.geo import GeoPoint, MmiBin, cell_center
-from eewsim.montecarlo import GridSpec, RunResult
+from eewsim.montecarlo import RunResult
 from eewsim.scenario import Earthquake, VelocityModel, s_arrival_s
 from eewsim.warning import (
     AlertParams,
@@ -264,7 +264,7 @@ class TestWarningVsN:
 
 class TestModeConditioned:
     def test_uses_density_mode_and_mean_time(self):
-        spec = GridSpec(ncols=10, nrows=10, xll=-73.0, yll=17.9, cellsize=0.12)
+        spec = make_grid(np.zeros((10, 10)), xll=-73.0, yll=17.9, cellsize=0.12)
         results = [
             RunResult(n=300, replica=i, detected=True, delay_s=2.0 + i, distance_km=1.0,
                       detection_location=GeoPoint(18.43, -72.49))
@@ -278,5 +278,5 @@ class TestModeConditioned:
         with pytest.raises(NoDetections):
             mode_conditioned_detection(
                 [RunResult(n=300, replica=0, detected=False)], 300, quake(),
-                GridSpec(ncols=4, nrows=4, xll=0, yll=0, cellsize=1.0),
+                make_grid(np.zeros((4, 4))),
             )

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from eewsim.detection import PhoneTrigger
-from eewsim.geo import GeoPoint, Grid
+from eewsim.detection import Triggers
+from eewsim.geo import Grid
 
 
 def make_grid(values, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0) -> Grid:
@@ -33,7 +33,9 @@ def detect_oracle(triggers, k_min, window_s):
     Windows are resolved by time, so equal-time triggers after the
     candidate index still count.
     """
-    times = [t.trigger_time_s for t in triggers]
+    times = triggers.times.tolist()
+    lats = triggers.lats.tolist()
+    lons = triggers.lons.tolist()
     for j in range(len(triggers)):
         in_window = [
             i for i in range(len(triggers))
@@ -41,22 +43,39 @@ def detect_oracle(triggers, k_min, window_s):
         ]
         if len(in_window) >= k_min:
             chosen = in_window[:k_min]
-            lat = _middle(sorted(triggers[i].location.lat for i in chosen))
-            lon = _middle(sorted(triggers[i].location.lon for i in chosen))
+            lat = _middle(sorted(lats[i] for i in chosen))
+            lon = _middle(sorted(lons[i] for i in chosen))
             return times[j], tuple(chosen), lat, lon
     return None
 
 
-def random_triggers(rng: np.random.Generator, count: int) -> list[PhoneTrigger]:
-    """Random sorted trigger list with occasional exact time ties."""
+def sorted_triggers(times, lats, lons) -> Triggers:
+    """Triggers from unordered columns, put in canonical (time, lat, lon) order."""
+    times, lats, lons = (np.asarray(a, dtype=float) for a in (times, lats, lons))
+    order = np.lexsort((lons, lats, times))
+    return Triggers(times[order], lats[order], lons[order])
+
+
+def random_triggers(rng: np.random.Generator, count: int) -> Triggers:
+    """Random sorted triggers with occasional exact time ties."""
     times = np.round(rng.uniform(0.0, 30.0, size=count), 1)  # coarse => ties
     lats = rng.uniform(17.0, 21.0, size=count)
     lons = rng.uniform(-75.0, -71.0, size=count)
-    order = np.lexsort((lons, lats, times))
-    return [
-        PhoneTrigger(GeoPoint(float(lats[i]), float(lons[i])), float(times[i]))
-        for i in order
-    ]
+    return sorted_triggers(times, lats, lons)
+
+
+def dense_sample_indices(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
+    """Partial Fisher-Yates over a materialized index array of size N.
+
+    The straightforward form of the network sampler, kept as its oracle:
+    same swap targets, same swaps, but O(N) memory per draw.
+    """
+    js = rng.integers(np.arange(n), N)
+    idx = np.arange(N)
+    for i in range(n):
+        j = js[i]
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:n].copy()
 
 
 def inv_cdf_percentile(values, p) -> float:

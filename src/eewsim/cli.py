@@ -91,10 +91,12 @@ class _OutputSet:
                 pass
 
 
-def cmd_exposure(cfg: RunConfig, quiet: bool = False) -> None:
+def cmd_exposure(
+    cfg: RunConfig, quiet: bool = False, mmi: Grid | None = None, pop: Grid | None = None
+) -> None:
     """Write exposure.csv: population per MMI bin plus the exceedance curve."""
-    mmi = _load_mmi(cfg)
-    pop = _load_pop(cfg)
+    mmi = _load_mmi(cfg) if mmi is None else mmi
+    pop = _load_pop(cfg) if pop is None else pop
     result = exposure_histogram(mmi, pop, cfg.mmi_bins)
     lines = ["mmi_bin,population,exceedance_fraction"]
     for b, p in zip(result.bins, result.populations):
@@ -105,11 +107,11 @@ def cmd_exposure(cfg: RunConfig, quiet: bool = False) -> None:
                 f"{result.total_population:.0f})")
 
 
-def cmd_synth(cfg: RunConfig, quiet: bool = False) -> Path:
+def cmd_synth(cfg: RunConfig, quiet: bool = False, pop: Grid | None = None) -> Path:
     """Write a synthetic catalog CSV drawn from the population raster."""
     if cfg.synth_n is None:
         raise ConfigError("cmd synth needs a [catalog] synth_n in the config")
-    pop = _load_pop(cfg)
+    pop = _load_pop(cfg) if pop is None else pop
     cat = synth_catalog(pop, cfg.synth_n, cfg.synth_seed)
     out = cfg.out_dir / "catalog.csv"
     _write_text(out, format_catalog(cat))
@@ -117,14 +119,19 @@ def cmd_synth(cfg: RunConfig, quiet: bool = False) -> Path:
     return out
 
 
-def cmd_simulate(cfg: RunConfig, quiet: bool = False, catalog: Catalog | None = None) -> None:
+def cmd_simulate(
+    cfg: RunConfig,
+    quiet: bool = False,
+    catalog: Catalog | None = None,
+    pop: Grid | None = None,
+) -> None:
     """Run the campaign; write runs.csv, summary.csv and density grids."""
     cat = catalog if catalog is not None else _load_or_synth_catalog(cfg)
     if max(cfg.n_grid) > len(cat):
         raise NTooLarge(
             f"n_grid contains {max(cfg.n_grid)} but the catalog holds only {len(cat)} points"
         )
-    pop = _load_pop(cfg)
+    pop = _load_pop(cfg) if pop is None else pop
 
     outputs = _OutputSet()
     try:
@@ -154,7 +161,9 @@ def cmd_simulate(cfg: RunConfig, quiet: bool = False, catalog: Catalog | None = 
                 f"({len(results)} replicas over {len(cfg.n_grid)} network sizes)")
 
 
-def cmd_warn(cfg: RunConfig, quiet: bool = False) -> None:
+def cmd_warn(
+    cfg: RunConfig, quiet: bool = False, mmi: Grid | None = None, pop: Grid | None = None
+) -> None:
     """Derive warning-time outputs from an existing runs.csv."""
     runs_path = cfg.out_dir / "runs.csv"
     if not runs_path.is_file():
@@ -164,8 +173,8 @@ def cmd_warn(cfg: RunConfig, quiet: bool = False) -> None:
             results = read_runs_csv(fh)
         except ValueError as e:
             raise ConfigError(f"{runs_path}: {e}") from None
-    mmi = _load_mmi(cfg)
-    pop = _load_pop(cfg)
+    mmi = _load_mmi(cfg) if mmi is None else mmi
+    pop = _load_pop(cfg) if pop is None else pop
 
     rows = warning.warning_vs_n(
         results, cfg.earthquake, cfg.velocity, cfg.alert, mmi, pop, cfg.mmi_bins
@@ -198,14 +207,17 @@ def cmd_warn(cfg: RunConfig, quiet: bool = False) -> None:
 
 def cmd_all(cfg: RunConfig, quiet: bool = False) -> None:
     """Full pipeline: exposure, synth (when configured), simulate, warn."""
-    cmd_exposure(cfg, quiet)
+    # parse each raster once, in the order the stand-alone commands do
+    mmi = _load_mmi(cfg)
+    pop = _load_pop(cfg)
+    cmd_exposure(cfg, quiet, mmi=mmi, pop=pop)
     catalog = None
     if cfg.synth_n is not None:
-        path = cmd_synth(cfg, quiet)
+        path = cmd_synth(cfg, quiet, pop=pop)
         with open(path, encoding="utf-8") as fh:
             catalog = load_catalog(fh, origin=str(path))
-    cmd_simulate(cfg, quiet, catalog=catalog)
-    cmd_warn(cfg, quiet)
+    cmd_simulate(cfg, quiet, catalog=catalog, pop=pop)
+    cmd_warn(cfg, quiet, mmi=mmi, pop=pop)
 
 
 _COMMANDS = {

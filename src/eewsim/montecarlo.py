@@ -222,6 +222,12 @@ def detection_density(
 ) -> DensityGrid:
     """Gaussian-kernel density of detection locations on the geometry of ``like``.
 
+    The isotropic kernel is separable: exp(-(dlat² + dlon²)·inv) is
+    exp(-dlat²·inv) · exp(-dlon²·inv), so the m detections give two factor
+    matrices, m × nrows and m × ncols, and the grid is their contraction
+    over detections. ``einsum`` without ``optimize`` does the contraction
+    without BLAS, whose result bytes depend on its thread count.
+
     The density is renormalized so cell-sum * cell-area == 1 over the grid.
     The mode is the center of the maximum-density cell; ties resolve to the
     smallest row, then column.
@@ -236,14 +242,10 @@ def detection_density(
     if not (math.isfinite(h) and h > 0):
         h = like.cellsize
 
-    lat_c = like.lat_centers()
-    lon_c = like.lon_centers()
     inv = 1.0 / (2.0 * h * h)
-    dens = np.zeros((like.nrows, like.ncols))
-    for k in range(lats.size):
-        dlat2 = (lat_c - lats[k]) ** 2
-        dlon2 = (lon_c - lons[k]) ** 2
-        dens += np.exp(-(dlat2[:, None] + dlon2[None, :]) * inv)
+    a = np.exp(-((like.lat_centers()[None, :] - lats[:, None]) ** 2) * inv)
+    b = np.exp(-((like.lon_centers()[None, :] - lons[:, None]) ** 2) * inv)
+    dens = np.einsum("ki,kj->ij", a, b)
 
     total = dens.sum() * like.cell_area_deg2
     if total <= 0:
@@ -274,25 +276,37 @@ def write_runs_csv(stream: IO[str], results: Sequence[RunResult]) -> None:
 
 
 def read_runs_csv(stream: IO[str] | str) -> list[RunResult]:
-    """Parse a runs.csv produced by :func:`write_runs_csv`."""
+    """Parse a runs.csv produced by :func:`write_runs_csv`.
+
+    Raises ValueError on a file without data rows and on a detected row
+    whose delay, distance or location is not finite.
+    """
     text = stream if isinstance(stream, str) else stream.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "n,replica,detected,delay_s,distance_km,det_lat,det_lon":
         raise ValueError("not a runs.csv file (bad or missing header)")
+    if len(lines) == 1:
+        raise ValueError("runs.csv has no data rows")
     out = []
     for lineno, line in enumerate(lines[1:], start=2):
         f = line.split(",")
         if len(f) != 7 or f[2] not in ("true", "false"):
             raise ValueError(f"runs.csv line {lineno}: cannot parse {line!r}")
         detected = f[2] == "true"
+        delay_s = distance_km = location = None
+        if detected:
+            delay_s, distance_km, lat, lon = (float(x) for x in f[3:])
+            if not all(math.isfinite(x) for x in (delay_s, distance_km, lat, lon)):
+                raise ValueError(f"runs.csv line {lineno}: non-finite value in {line!r}")
+            location = GeoPoint(lat, lon)
         out.append(
             RunResult(
                 n=int(f[0]),
                 replica=int(f[1]),
                 detected=detected,
-                delay_s=float(f[3]) if detected else None,
-                distance_km=float(f[4]) if detected else None,
-                detection_location=GeoPoint(float(f[5]), float(f[6])) if detected else None,
+                delay_s=delay_s,
+                distance_km=distance_km,
+                detection_location=location,
             )
         )
     return out

@@ -197,6 +197,11 @@ def warning_vs_n(
     replicas plus empirical 2.5/97.5 percentile bands across replicas.
     An n with no detections (or a bin with no population) yields rows with
     absent values.
+
+    A replica's warning times are the bin's S arrivals shifted by one
+    constant, -(t + latency). A shift keeps the order of the cells, so the
+    weighted percentiles pick the same cell for every replica: they are
+    taken once per bin on the S arrivals and shifted per replica.
     """
     selections = _bin_selections(mmi, pop, bins)
     lat2, lon2 = pop.center_mesh()
@@ -221,12 +226,14 @@ def warning_vs_n(
                 for stat in stats:
                     rows.append(WarningBand(n, b, stat, None, None, None))
                 continue
+            s_lo = weighted_percentile(s_vals, pops, 2.5)
+            s_hi = weighted_percentile(s_vals, pops, 97.5)
             samples: dict[str, list[float]] = {stat: [] for stat in stats}
             for t in times:
                 wv = s_vals - t - ap.dissemination_latency_s
-                samples["p2_5"].append(weighted_percentile(wv, pops, 2.5))
+                samples["p2_5"].append(s_lo - t - ap.dissemination_latency_s)
                 samples["mean"].append(float(np.average(wv, weights=pops)))
-                samples["p97_5"].append(weighted_percentile(wv, pops, 97.5))
+                samples["p97_5"].append(s_hi - t - ap.dissemination_latency_s)
             for stat in stats:
                 vals = samples[stat]
                 rows.append(

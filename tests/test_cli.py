@@ -1,8 +1,11 @@
 """End-to-end command tests on a small synthetic scenario."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eewsim.cli
 from eewsim.cli import main
 from eewsim.geo import format_ascii_grid, parse_ascii_grid
 from testutil import make_grid
@@ -164,6 +167,19 @@ class TestWarn:
         assert run(rundir, "warn") == 2
         assert "runs.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", ["", "10,0,true,nan,1.5,18.3,-72.7\n"])
+    def test_unusable_runs_exit_2(self, rundir, capsys, rows):
+        out = rundir / "out"
+        out.mkdir()
+        (out / "runs.csv").write_text(
+            "n,replica,detected,delay_s,distance_km,det_lat,det_lon\n" + rows, encoding="utf-8"
+        )
+        assert run(rundir, "warn") == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "runs.csv" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]
+
     def test_outputs(self, rundir):
         assert run(rundir, "simulate") == 0
         assert run(rundir, "warn") == 0
@@ -214,6 +230,28 @@ class TestAll:
         assert run(rundir, "all") == 0
         second = {p.name: p.read_bytes() for p in (rundir / "out").iterdir()}
         assert first == second
+
+    def test_equals_its_parts(self, rundir):
+        assert main(["all", "--config", str(rundir / "run.ini"), "--out",
+                     str(rundir / "whole"), "--quiet"]) == 0
+        for command in ("exposure", "synth", "simulate", "warn"):
+            assert main([command, "--config", str(rundir / "run.ini"), "--out",
+                         str(rundir / "parts"), "--quiet"]) == 0
+        whole = {p.name: p.read_bytes() for p in (rundir / "whole").iterdir()}
+        parts = {p.name: p.read_bytes() for p in (rundir / "parts").iterdir()}
+        assert len(whole) == 7
+        assert whole == parts
+
+    def test_parses_each_raster_once(self, rundir, monkeypatch):
+        sources = []
+
+        def counting(fh):
+            sources.append(Path(fh.name).name)
+            return parse_ascii_grid(fh)
+
+        monkeypatch.setattr(eewsim.cli, "parse_ascii_grid", counting)
+        assert run(rundir, "all") == 0
+        assert sources == ["mmi.asc", "pop.asc"]
 
     def test_out_override(self, rundir, tmp_path):
         other = tmp_path / "custom_out"

@@ -22,7 +22,7 @@ from eewsim.montecarlo import (
 )
 from eewsim.network import Catalog
 from eewsim.scenario import Earthquake, VelocityModel
-from testutil import linear_percentile_oracle, make_grid
+from testutil import density_oracle, linear_percentile_oracle, make_grid
 
 
 def colocated_catalog(point, n):
@@ -239,6 +239,27 @@ class TestDetectionDensity:
         dg = detection_density(results, self.spec())
         assert dg.bandwidth_deg == self.spec().cellsize
 
+    @pytest.mark.parametrize("seed, m, bandwidth", [
+        (60, 1, None),     # one detection: degenerate bandwidth, cell-size fallback
+        (61, 40, None),    # Silverman bandwidth
+        (62, 200, 0.08),
+        (63, 7, 0.02),     # narrow kernel, cells far from every detection underflow
+    ])
+    def test_matches_per_point_oracle(self, seed, m, bandwidth):
+        rng = np.random.default_rng(seed)
+        spec = make_grid(np.zeros((23, 31)), xll=-73.0, yll=18.0, cellsize=0.03)
+        results = [
+            self.detected(rng.uniform(18.0, 18.7), rng.uniform(-73.0, -72.07), replica=i)
+            for i in range(m)
+        ]
+        results.append(self.detected(18.9, -72.0, replica=m))  # outside the grid
+        results.append(RunResult(n=300, replica=m + 1, detected=False))
+        want, h = density_oracle(results, spec, bandwidth)
+        dg = detection_density(results, spec, bandwidth)
+        assert dg.bandwidth_deg == h
+        assert np.max(np.abs(dg.grid.values - want)) <= 1e-12 * want.max()
+        assert np.argmax(dg.grid.values) == np.argmax(want)
+
 
 class TestCsvRoundTrip:
     def test_runs_csv(self):
@@ -264,6 +285,21 @@ class TestCsvRoundTrip:
     def test_rejects_foreign_file(self):
         with pytest.raises(ValueError):
             read_runs_csv("a,b\n1,2\n")
+
+    def test_rejects_header_only_file(self):
+        with pytest.raises(ValueError, match="no data rows"):
+            read_runs_csv("n,replica,detected,delay_s,distance_km,det_lat,det_lon\n")
+
+    @pytest.mark.parametrize("row", [
+        "10,0,true,nan,7.5,18.1,-72.9",
+        "10,0,true,3.25,inf,18.1,-72.9",
+        "10,0,true,3.25,7.5,nan,-72.9",
+        "10,0,true,3.25,7.5,18.1,-inf",
+    ])
+    def test_rejects_non_finite_detected_row(self, row):
+        text = "n,replica,detected,delay_s,distance_km,det_lat,det_lon\n" + row + "\n"
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            read_runs_csv(text)
 
 
 class TestWorkerCount:

@@ -15,7 +15,7 @@ from eewsim.warning import (
     warning_vs_n,
     weighted_percentile,
 )
-from testutil import inv_cdf_percentile, make_grid
+from testutil import inv_cdf_percentile, make_grid, warning_vs_n_oracle
 
 
 def detection(time_s=3.0, lat=18.4, lon=-72.5):
@@ -260,6 +260,30 @@ class TestWarningVsN:
                             [MmiBin(6.0, 9.5)])
         means = {r.n: r.value_s for r in rows if r.stat == "mean"}
         assert means[1200] > means[300]
+
+
+    @pytest.mark.parametrize("latency", [0.0, 1.5])
+    def test_matches_per_replica_oracle(self, latency):
+        rng = np.random.default_rng(57)
+        pop, mmi = small_scenario(rng)
+        eq, vm, ap = quake(), VelocityModel(), AlertParams(latency)
+        bins = [MmiBin(6.0, 7.0), MmiBin(7.0, 8.0), MmiBin(8.0, 9.5), MmiBin(11.0, 12.0)]
+        results = [result(n, i, delay=rng.uniform(2.0, 25.0)) for n in (300, 600)
+                   for i in range(12)]
+        results += [result(600, 12), result(900, 0)]
+        rows = warning_vs_n(results, eq, vm, ap, mmi, pop, bins)
+        want = warning_vs_n_oracle(results, eq, vm, ap, mmi, pop, bins)
+        assert [(r.n, r.bin, r.stat) for r in rows] == [(r.n, r.bin, r.stat) for r in want]
+        for got, ref in zip(rows, want):
+            for field in ("value_s", "band_lo_s", "band_hi_s"):
+                a, b = getattr(got, field), getattr(ref, field)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a == pytest.approx(b, rel=0.0, abs=1e-12)
+        # the blind zone is covered: some replicas warn some cells too late
+        p2_5 = [r.band_lo_s for r in rows if r.stat == "p2_5" and r.value_s is not None]
+        p97_5 = [r.band_hi_s for r in rows if r.stat == "p97_5" and r.value_s is not None]
+        assert min(p2_5) < 0 < max(p97_5)
 
 
 class TestModeConditioned:

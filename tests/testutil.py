@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from statistics import fmean
 
 import numpy as np
 
 from eewsim.detection import Triggers
 from eewsim.geo import Grid
+from eewsim.montecarlo import percentile, silverman_bandwidth_deg
+from eewsim.scenario import s_arrivals_s
+from eewsim.warning import WarningBand, _bin_selections, weighted_percentile
 
 
 def make_grid(values, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0) -> Grid:
@@ -89,3 +93,59 @@ def inv_cdf_percentile(values, p) -> float:
 def linear_percentile_oracle(values, p) -> float:
     """Reference for the linear-interpolation percentile (numpy's default)."""
     return float(np.percentile(np.asarray(values, dtype=float), p))
+
+
+def density_oracle(results, like: Grid, bandwidth_deg=None) -> tuple[np.ndarray, float]:
+    """Per-detection kernel sum: one exp per (detection, cell).
+
+    The straightforward form of the detection-location density, kept as
+    its oracle. Returns the normalized density array and the bandwidth.
+    """
+    lats = np.array([r.detection_location.lat for r in results if r.detected])
+    lons = np.array([r.detection_location.lon for r in results if r.detected])
+    h = bandwidth_deg if bandwidth_deg is not None else silverman_bandwidth_deg(lats, lons)
+    if not (math.isfinite(h) and h > 0):
+        h = like.cellsize
+    lat_c = like.lat_centers()
+    lon_c = like.lon_centers()
+    inv = 1.0 / (2.0 * h * h)
+    dens = np.zeros((like.nrows, like.ncols))
+    for k in range(lats.size):
+        dlat2 = (lat_c - lats[k]) ** 2
+        dlon2 = (lon_c - lons[k]) ** 2
+        dens += np.exp(-(dlat2[:, None] + dlon2[None, :]) * inv)
+    return dens / (dens.sum() * like.cell_area_deg2), float(h)
+
+
+def warning_vs_n_oracle(results, eq, vm, ap, mmi, pop, bins) -> list[WarningBand]:
+    """Warning-vs-n rows with both weighted percentiles taken per replica.
+
+    The straightforward form of ``warning_vs_n``, kept as its oracle: it
+    builds every replica's warning times and sorts them afresh.
+    """
+    lat2, lon2 = pop.center_mesh()
+    s_arr = s_arrivals_s(eq, vm, lat2, lon2)
+    per_bin = [(b, s_arr[sel], pop.values[sel]) for b, sel in _bin_selections(mmi, pop, bins)]
+    times_by_n: dict[int, list[float]] = {}
+    for r in results:
+        times_by_n.setdefault(r.n, [])
+        if r.detected:
+            times_by_n[r.n].append(eq.origin_time_s + r.delay_s)
+    stats = ("p2_5", "mean", "p97_5")
+    rows = []
+    for n, times in times_by_n.items():
+        for b, s_vals, pops in per_bin:
+            if not times or s_vals.size == 0:
+                rows += [WarningBand(n, b, stat, None, None, None) for stat in stats]
+                continue
+            samples = {stat: [] for stat in stats}
+            for t in times:
+                wv = s_vals - t - ap.dissemination_latency_s
+                samples["p2_5"].append(weighted_percentile(wv, pops, 2.5))
+                samples["mean"].append(float(np.average(wv, weights=pops)))
+                samples["p97_5"].append(weighted_percentile(wv, pops, 97.5))
+            for stat in stats:
+                vals = samples[stat]
+                rows.append(WarningBand(n, b, stat, fmean(vals), percentile(vals, 2.5),
+                                        percentile(vals, 97.5)))
+    return rows

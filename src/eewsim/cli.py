@@ -58,13 +58,18 @@ def _load_mmi(cfg: RunConfig) -> Grid:
     return _load_grid(cfg.mmi_grid, "MMI grid", check_mmi_grid)
 
 
-def _load_or_synth_catalog(cfg: RunConfig) -> Catalog:
+def _load_or_synth_catalog(cfg: RunConfig, pop: Grid) -> Catalog:
     if cfg.catalog_path is not None:
         if not cfg.catalog_path.is_file():
             raise ConfigError(f"catalog file not found: {cfg.catalog_path}")
         with open(cfg.catalog_path, encoding="utf-8") as fh:
-            return load_catalog(fh, origin=str(cfg.catalog_path))
-    return synth_catalog(_load_pop(cfg), cfg.synth_n, cfg.synth_seed)
+            try:
+                return load_catalog(fh, origin=str(cfg.catalog_path))
+            except UnicodeDecodeError as e:
+                raise ConfigError(
+                    f"{cfg.catalog_path}: not UTF-8 text (byte {e.object[e.start]:#x}: {e.reason})"
+                ) from None
+    return synth_catalog(pop, cfg.synth_n, cfg.synth_seed)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -107,7 +112,7 @@ def cmd_exposure(
                 f"{result.total_population:.0f})")
 
 
-def cmd_synth(cfg: RunConfig, quiet: bool = False, pop: Grid | None = None) -> Path:
+def cmd_synth(cfg: RunConfig, quiet: bool = False, pop: Grid | None = None) -> Catalog:
     """Write a synthetic catalog CSV drawn from the population raster."""
     if cfg.synth_n is None:
         raise ConfigError("cmd synth needs a [catalog] synth_n in the config")
@@ -116,7 +121,7 @@ def cmd_synth(cfg: RunConfig, quiet: bool = False, pop: Grid | None = None) -> P
     out = cfg.out_dir / "catalog.csv"
     _write_text(out, format_catalog(cat))
     _say(quiet, f"wrote {out} ({len(cat)} points)")
-    return out
+    return cat
 
 
 def cmd_simulate(
@@ -126,12 +131,12 @@ def cmd_simulate(
     pop: Grid | None = None,
 ) -> None:
     """Run the campaign; write runs.csv, summary.csv and density grids."""
-    cat = catalog if catalog is not None else _load_or_synth_catalog(cfg)
+    pop = _load_pop(cfg) if pop is None else pop
+    cat = catalog if catalog is not None else _load_or_synth_catalog(cfg, pop)
     if max(cfg.n_grid) > len(cat):
         raise NTooLarge(
             f"n_grid contains {max(cfg.n_grid)} but the catalog holds only {len(cat)} points"
         )
-    pop = _load_pop(cfg) if pop is None else pop
 
     outputs = _OutputSet()
     try:
@@ -211,11 +216,8 @@ def cmd_all(cfg: RunConfig, quiet: bool = False) -> None:
     mmi = _load_mmi(cfg)
     pop = _load_pop(cfg)
     cmd_exposure(cfg, quiet, mmi=mmi, pop=pop)
-    catalog = None
-    if cfg.synth_n is not None:
-        path = cmd_synth(cfg, quiet, pop=pop)
-        with open(path, encoding="utf-8") as fh:
-            catalog = load_catalog(fh, origin=str(path))
+    # the CSV round trip is exact, so simulate takes the synthesized catalog as is
+    catalog = cmd_synth(cfg, quiet, pop=pop) if cfg.synth_n is not None else None
     cmd_simulate(cfg, quiet, catalog=catalog, pop=pop)
     cmd_warn(cfg, quiet, mmi=mmi, pop=pop)
 

@@ -142,6 +142,10 @@ def load_config(path: str | Path) -> RunConfig:
             parser.read_file(fh, source=str(path))
     except ConfigParserError as e:
         raise ConfigError(f"{path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(
+            f"{path}: not UTF-8 text (byte {e.object[e.start]:#x}: {e.reason})"
+        ) from None
 
     for section in parser.sections():
         if section not in _KNOWN_KEYS:

@@ -10,21 +10,24 @@ decorrelated within one replica.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import IO, Iterable
 
 import numpy as np
 
 from .errors import (
     AllZeroPopulation,
+    EewsimError,
     EmptyCatalog,
     MalformedRow,
     NTooLarge,
     NZero,
     OutOfRangeCoordinate,
 )
-from .geo import GeoPoint, Grid, normalize_lon
+from .geo import GeoPoint, Grid
 
 # substream tags; never reuse a value for a new purpose
 STREAM_NETWORK = 1
@@ -32,6 +35,9 @@ STREAM_TRIGGERS = 2
 STREAM_SYNTH = 3
 
 _U64_MAX = 2**64 - 1
+
+# catalog CSV body lines parsed per vectorized step; bounds the loader's memory
+_CHUNK_LINES = 2**16
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,11 @@ def _coord_arrays(lats, lons) -> tuple[np.ndarray, np.ndarray]:
         raise OutOfRangeCoordinate("non-finite coordinate in catalog")
     if lats.size and (lats.min() < -90.0 or lats.max() > 90.0):
         raise OutOfRangeCoordinate("latitude outside [-90, 90] in catalog")
-    lons = np.where((lons >= -180.0) & (lons < 180.0), lons, (lons + 180.0) % 360.0 - 180.0)
+    out = (lons < -180.0) | (lons >= 180.0)
+    if out.any():
+        lons[out] = (lons[out] + 180.0) % 360.0 - 180.0
+        # (lon + 180) % 360 rounds up to 360 for lon just below -180
+        lons[lons == 180.0] = -180.0
     lats.setflags(write=False)
     lons.setflags(write=False)
     return lats, lons
@@ -110,44 +120,72 @@ class Network:
 # --- catalog I/O -------------------------------------------------------------
 
 def load_catalog(source: str | IO[str] | Iterable[str], origin: str = "catalog") -> Catalog:
-    """Read a catalog CSV: header ``lat,lon``, one point per line."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = "\n".join(source)
-    lines = text.splitlines()
+    """Read a catalog CSV: header ``lat,lon``, one point per line.
 
-    rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
-    if not rows:
+    The text is streamed. A ``str`` is read through universal newlines
+    (lines end at ``\\n``, ``\\r\\n`` or ``\\r``); a file handle or any
+    other iterable yields one line per item. Body lines are taken
+    ``_CHUNK_LINES`` at a time and each chunk is parsed with one numpy
+    str -> float64 cast, which calls ``float`` on every token, so working
+    memory is one chunk plus the output arrays. Blank lines are skipped,
+    and an error names its 1-based line.
+    """
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else iter(source)
+    for header_no, line in enumerate(lines, 1):
+        header = line.strip()
+        if header:
+            break
+    else:
         raise EmptyCatalog(f"{origin}: file is empty")
-    header_no, header = rows[0]
     if [c.strip().lower() for c in header.split(",")] != ["lat", "lon"]:
         raise MalformedRow(f"{origin} line {header_no}: expected header 'lat,lon', got {header!r}")
-    body = rows[1:]
-    if not body:
-        raise EmptyCatalog(f"{origin}: no data rows")
 
-    lats = np.empty(len(body))
-    lons = np.empty(len(body))
-    for k, (lineno, line) in enumerate(body):
+    chunks = []
+    first_lineno = header_no + 1
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        chunks.append(_parse_chunk(chunk, first_lineno, origin))
+        first_lineno += len(chunk)
+    vals = np.concatenate(chunks) if chunks else np.empty(0)
+    if not vals.size:
+        raise EmptyCatalog(f"{origin}: no data rows")
+    return Catalog(lats=vals[0::2], lons=vals[1::2], source=origin)
+
+
+def _parse_chunk(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray:
+    """Parse body lines into one flat ``lat, lon, lat, lon, ...`` array."""
+    rows = [r for r in map(str.strip, chunk) if r]
+    if not rows:
+        return np.empty(0)
+    if set(map(str.count, rows, repeat(","))) == {1}:
+        try:
+            vals = np.array(",".join(rows).split(","), dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(vals).all() and (np.abs(vals[0::2]) <= 90.0).all():
+                return vals
+    raise _row_error(chunk, first_lineno, origin)
+
+
+def _row_error(chunk: list[str], first_lineno: int, origin: str) -> EewsimError:
+    """The error for the first bad line of a chunk that failed a check."""
+    for lineno, line in enumerate(map(str.strip, chunk), first_lineno):
+        if not line:
+            continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise MalformedRow(f"{origin} line {lineno}: expected 'lat,lon', got {line!r}")
+            return MalformedRow(f"{origin} line {lineno}: expected 'lat,lon', got {line!r}")
         try:
             lat, lon = float(parts[0]), float(parts[1])
         except ValueError:
-            raise MalformedRow(f"{origin} line {lineno}: cannot parse {line!r}") from None
+            return MalformedRow(f"{origin} line {lineno}: cannot parse {line!r}")
         if not (math.isfinite(lat) and math.isfinite(lon)):
-            raise OutOfRangeCoordinate(f"{origin} line {lineno}: non-finite coordinate")
+            return OutOfRangeCoordinate(f"{origin} line {lineno}: non-finite coordinate")
         if not -90.0 <= lat <= 90.0:
-            raise OutOfRangeCoordinate(
+            return OutOfRangeCoordinate(
                 f"{origin} line {lineno}: latitude {lat} outside [-90, 90]"
             )
-        lats[k] = lat
-        lons[k] = normalize_lon(lon)
-    return Catalog(lats=lats, lons=lons, source=origin)
+    raise RuntimeError(f"{origin}: no bad line in the chunk from line {first_lineno}")
 
 
 def format_catalog(cat: Catalog) -> str:

@@ -249,9 +249,16 @@ class TestAll:
             sources.append(Path(fh.name).name)
             return parse_ascii_grid(fh)
 
+        def no_catalog_read(*args, **kwargs):
+            raise AssertionError("the synthesized catalog was read back from CSV")
+
         monkeypatch.setattr(eewsim.cli, "parse_ascii_grid", counting)
+        monkeypatch.setattr(eewsim.cli, "load_catalog", no_catalog_read)
         assert run(rundir, "all") == 0
         assert sources == ["mmi.asc", "pop.asc"]
+        sources.clear()
+        assert run(rundir, "simulate") == 0
+        assert sources == ["pop.asc"]
 
     def test_out_override(self, rundir, tmp_path):
         other = tmp_path / "custom_out"
@@ -282,6 +289,24 @@ class TestBadConfig:
         (rundir / "mmi.asc").write_text(format_ascii_grid(bad), encoding="utf-8")
         assert run(rundir, "exposure") == 2
         assert "[0, 12]" in capsys.readouterr().err
+
+    def test_non_utf8_catalog_exit_2(self, rundir, capsys):
+        (rundir / "run.ini").write_text(CONFIG.replace("synth_n = 40", "path = cat.csv"),
+                                        encoding="utf-8")
+        good = b"".join(b"18.%d,-72.%d\n" % (k, k) for k in range(1000, 3000))
+        (rundir / "cat.csv").write_bytes(b"lat,lon\n" + good + b"18.4,-72.\xff\n" + good)
+        assert run(rundir, "simulate") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "cat.csv" in err[0] and "UTF-8" in err[0]
+        assert not (rundir / "out" / "runs.csv").exists()
+
+    def test_non_utf8_config_exit_2(self, rundir, capsys):
+        (rundir / "run.ini").write_bytes(CONFIG.encode() + b"# caf\xe9\n")
+        assert run(rundir, "exposure") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "run.ini" in err[0] and "UTF-8" in err[0]
 
     def test_non_integer_thread_count_exit_2(self, rundir, capsys, monkeypatch):
         monkeypatch.setenv("EEWSIM_THREADS", "abc")

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from eewsim import network
 from eewsim.errors import (
     AllZeroPopulation,
+    EewsimError,
     EmptyCatalog,
     MalformedRow,
     NTooLarge,
@@ -19,7 +23,7 @@ from eewsim.network import (
     sample_network,
     synth_catalog,
 )
-from testutil import dense_sample_indices, make_grid
+from testutil import dense_sample_indices, load_catalog_oracle, make_grid
 
 
 class TestLoadCatalog:
@@ -57,6 +61,103 @@ class TestLoadCatalog:
         again = load_catalog(format_catalog(cat))
         assert np.array_equal(cat.lats, again.lats)
         assert np.array_equal(cat.lons, again.lons)
+
+
+# longitudes the loader must wrap, incl. ones just below -180 where
+# (lon + 180) % 360 rounds up to 360
+_WRAP_LONS = ("180", "190.5", "-180.00000000000003", "-540.0000000000001", "1e6", "-725.25")
+
+
+def _messy_catalog(rng: np.random.Generator, rows: int) -> str:
+    """Catalog text with blank lines, mixed line endings and padded fields."""
+    out = ["lat,lon\n"]
+    for k in range(rows):
+        lat = rng.choice(["90", "-90.0"]) if k % 11 == 0 else repr(rng.uniform(-90, 90))
+        lon = rng.choice(_WRAP_LONS) if k % 5 == 0 else repr(rng.uniform(-180, 180))
+        pad = rng.choice(["", " ", "\t "])
+        out.append(f"{pad}{lat}{pad},{pad}{lon}{pad}" + rng.choice(["\n", "\r\n", "\r"]))
+        if k % 7 == 0:
+            out.append(rng.choice(["\n", "   \n", "\t\r\n", "\r"]))
+    return "".join(out)
+
+
+def _outcomes(loader, text: str, path) -> list:
+    """What ``loader`` makes of ``text`` as a str, a file handle and a list of lines."""
+
+    def outcome(source):
+        try:
+            cat = loader(source, origin="cat.csv")
+        except EewsimError as e:
+            return type(e), str(e)
+        return cat.lats.tobytes(), cat.lons.tobytes()
+
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8") as fh:
+        from_file = outcome(fh)
+    return [outcome(text), from_file, outcome(text.splitlines())]
+
+
+class TestLoadCatalogStreaming:
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_matches_row_oracle(self, monkeypatch, tmp_path, chunk):
+        monkeypatch.setattr(network, "_CHUNK_LINES", chunk)
+        text = _messy_catalog(np.random.default_rng(chunk), 300)
+        got = _outcomes(load_catalog, text, tmp_path / "cat.csv")
+        assert got == _outcomes(load_catalog_oracle, text, tmp_path / "cat.csv")
+        lats, lons = (np.frombuffer(b) for b in got[0])
+        assert lats.size == 300
+        assert (lons >= -180.0).all() and (lons < 180.0).all()
+
+    @pytest.mark.parametrize("bad", [
+        "18.5",
+        "18.5,-72.1,0",
+        "18.5\n18.5,-72.1,0",  # one field then three: the comma total still matches
+        "18.5,abc",
+        " , ",
+        "nan,-72.1",
+        "18.5,inf",
+        "91,-72.1",
+        "-90.000001,-72.1",
+    ])
+    def test_bad_row_in_later_chunk_matches_oracle(self, monkeypatch, tmp_path, bad):
+        monkeypatch.setattr(network, "_CHUNK_LINES", 4)
+        good = "".join(f"18.{k},-72.{k}\n" for k in range(1, 10))
+        text = f"lat,lon\n{good}\n{bad}\r\n{good}"
+        got = _outcomes(load_catalog, text, tmp_path / "cat.csv")
+        assert got == _outcomes(load_catalog_oracle, text, tmp_path / "cat.csv")
+        assert all(isinstance(g[1], str) and "cat.csv line 12:" in g[1] for g in got)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n \r\n", "lat,lon\n", "lat,lon\n\n  \n", "latitude,longitude\n1,2\n",
+        "\n lat , LON \n",
+    ])
+    def test_header_and_empty_cases_match_oracle(self, monkeypatch, tmp_path, text):
+        monkeypatch.setattr(network, "_CHUNK_LINES", 1)
+        got = _outcomes(load_catalog, text, tmp_path / "cat.csv")
+        assert got == _outcomes(load_catalog_oracle, text, tmp_path / "cat.csv")
+        assert all(g[0] in (EmptyCatalog, MalformedRow) for g in got)
+
+    def test_memory_bounded_by_one_chunk(self, monkeypatch, tmp_path):
+        # The output is 16 bytes a row. At the end the chunk arrays, their
+        # concatenation and the Catalog's private lat/lon copies coexist:
+        # three times that. One chunk of lines, their stripped copies, the
+        # joined text and its tokens take under 1 KB a line of this length.
+        monkeypatch.setattr(network, "_CHUNK_LINES", 2**12)
+        n = 200_000
+        rng = np.random.default_rng(0)
+        path = tmp_path / "cat.csv"
+        rows = zip(rng.uniform(17.9, 19.9, n).tolist(), rng.uniform(-74.4, -71.7, n).tolist())
+        path.write_text("lat,lon\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+        bound = 3 * 16 * n + 1024 * network._CHUNK_LINES
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                cat = load_catalog(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cat) == n
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 class TestSynthCatalog:

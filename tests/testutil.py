@@ -9,8 +9,10 @@ from statistics import fmean
 import numpy as np
 
 from eewsim.detection import Triggers
-from eewsim.geo import Grid
+from eewsim.errors import EmptyCatalog, MalformedRow, OutOfRangeCoordinate
+from eewsim.geo import Grid, normalize_lon
 from eewsim.montecarlo import percentile, silverman_bandwidth_deg
+from eewsim.network import Catalog
 from eewsim.scenario import s_arrivals_s
 from eewsim.warning import WarningBand, _bin_selections, weighted_percentile
 
@@ -80,6 +82,51 @@ def dense_sample_indices(rng: np.random.Generator, N: int, n: int) -> np.ndarray
         j = js[i]
         idx[i], idx[j] = idx[j], idx[i]
     return idx[:n].copy()
+
+
+def load_catalog_oracle(source, origin: str = "catalog") -> Catalog:
+    """Catalog CSV reader that parses one row at a time with ``float``.
+
+    The straightforward form of ``load_catalog``, kept as its oracle: it
+    holds the whole text and checks and converts each line in turn.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+    elif isinstance(source, str):
+        text = source
+    else:
+        text = "\n".join(source)
+    lines = text.splitlines()
+
+    rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
+    if not rows:
+        raise EmptyCatalog(f"{origin}: file is empty")
+    header_no, header = rows[0]
+    if [c.strip().lower() for c in header.split(",")] != ["lat", "lon"]:
+        raise MalformedRow(f"{origin} line {header_no}: expected header 'lat,lon', got {header!r}")
+    body = rows[1:]
+    if not body:
+        raise EmptyCatalog(f"{origin}: no data rows")
+
+    lats = np.empty(len(body))
+    lons = np.empty(len(body))
+    for k, (lineno, line) in enumerate(body):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise MalformedRow(f"{origin} line {lineno}: expected 'lat,lon', got {line!r}")
+        try:
+            lat, lon = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise MalformedRow(f"{origin} line {lineno}: cannot parse {line!r}") from None
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            raise OutOfRangeCoordinate(f"{origin} line {lineno}: non-finite coordinate")
+        if not -90.0 <= lat <= 90.0:
+            raise OutOfRangeCoordinate(
+                f"{origin} line {lineno}: latitude {lat} outside [-90, 90]"
+            )
+        lats[k] = lat
+        lons[k] = normalize_lon(lon)
+    return Catalog(lats=lats, lons=lons, source=origin)
 
 
 def inv_cdf_percentile(values, p) -> float:

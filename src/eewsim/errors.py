@@ -71,6 +71,10 @@ class NoDetections(EewsimError):
     """No detected replica is available for the requested computation."""
 
 
+class KernelUnderflow(EewsimError):
+    """The density kernel is too narrow to leave any mass on the evaluation grid."""
+
+
 # --- configuration ----------------------------------------------------------
 
 class ConfigError(EewsimError):

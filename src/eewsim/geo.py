@@ -31,7 +31,9 @@ def normalize_lon(lon: float) -> float:
     """Wrap a longitude into [-180, 180), leaving in-range values untouched."""
     if -180.0 <= lon < 180.0:
         return lon
-    return (lon + 180.0) % 360.0 - 180.0
+    lon = (lon + 180.0) % 360.0 - 180.0
+    # (lon + 180) % 360 rounds up to 360 for lon just below -180
+    return -180.0 if lon == 180.0 else lon
 
 
 @dataclass(frozen=True)

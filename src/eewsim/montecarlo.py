@@ -20,7 +20,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .detection import DetectorParams, PhoneParams, detect, detection_metrics, simulate_triggers
-from .errors import ConfigError, EmptyInput, NoDetections
+from .errors import ConfigError, EmptyInput, KernelUnderflow, NoDetections
 from .geo import GeoPoint, Grid, cell_center
 from .network import Catalog, SeedSpec, sample_network
 from .scenario import Earthquake, VelocityModel
@@ -228,7 +228,15 @@ def detection_density(
     over detections. ``einsum`` without ``optimize`` does the contraction
     without BLAS, whose result bytes depend on its thread count.
 
-    The density is renormalized so cell-sum * cell-area == 1 over the grid.
+    Every cell below float64 eps (2**-52) times the grid maximum is then
+    set to 0.0: such a cell is below the resolution of the peak, since
+    adding it to the peak cell leaves the peak unchanged. Each flushed cell
+    moves by less than eps of the maximum, and the maximum cell, hence the
+    mode, is kept. It also spares the written grid the long repr of the
+    Gaussian tail, whose values reach down to 1e-308.
+
+    The density is then renormalized so cell-sum * cell-area == 1 over the
+    grid; KernelUnderflow is raised when no kernel mass is left on it.
     The mode is the center of the maximum-density cell; ties resolve to the
     smallest row, then column.
     """
@@ -246,10 +254,14 @@ def detection_density(
     a = np.exp(-((like.lat_centers()[None, :] - lats[:, None]) ** 2) * inv)
     b = np.exp(-((like.lon_centers()[None, :] - lons[:, None]) ** 2) * inv)
     dens = np.einsum("ki,kj->ij", a, b)
+    dens[dens < np.finfo(np.float64).eps * dens.max()] = 0.0
 
     total = dens.sum() * like.cell_area_deg2
     if total <= 0:
-        raise ValueError("kernel mass underflowed to zero on the evaluation grid")
+        raise KernelUnderflow(
+            f"density kernel mass underflowed to zero on the evaluation grid "
+            f"(bandwidth {h!r} deg)"
+        )
     dens /= total
 
     flat_mode = int(np.argmax(dens))

@@ -315,3 +315,14 @@ class TestBadConfig:
         assert len(err) == 1
         assert err[0].startswith("error:") and "EEWSIM_THREADS" in err[0]
         assert not (rundir / "out" / "runs.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "all", "warn"])
+    def test_underflowed_kernel_exit_2(self, rundir, capsys, command):
+        if command == "warn":
+            assert run(rundir, "simulate") == 0
+        (rundir / "run.ini").write_text(CONFIG + "\n[density]\nbandwidth_deg = 1e-6\n",
+                                        encoding="utf-8")
+        assert run(rundir, command) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "bandwidth 1e-06" in err[0]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eewsim.errors import (
     DimensionMismatch,
@@ -24,6 +26,7 @@ from eewsim.geo import (
     format_ascii_grid,
     haversine_km,
     haversine_km_points,
+    normalize_lon,
     parse_ascii_grid,
     sample_at,
     sample_values,
@@ -50,6 +53,21 @@ class TestGeoPoint:
 
     def test_in_range_lon_untouched(self):
         assert GeoPoint(18.457, -72.533).lon == -72.533
+
+    def test_lon_just_below_minus_180(self):
+        # (lon + 180) % 360 rounds up to 360.0 here, which would give 180.0
+        assert normalize_lon(-180.00000000000003) == -180.0
+        assert GeoPoint(0.0, -180.00000000000003).lon == -180.0
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-180.00000000000003)
+    @example(180.0)
+    @example(-1e300)
+    def test_normalize_lon_lands_in_range(self, lon):
+        out = normalize_lon(lon)
+        assert -180.0 <= out < 180.0
+        if -180.0 <= lon < 180.0:
+            assert out == lon
 
     def test_lat_out_of_range(self):
         with pytest.raises(OutOfRangeCoordinate):

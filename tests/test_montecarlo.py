@@ -259,6 +259,11 @@ class TestDetectionDensity:
         assert dg.bandwidth_deg == h
         assert np.max(np.abs(dg.grid.values - want)) <= 1e-12 * want.max()
         assert np.argmax(dg.grid.values) == np.argmax(want)
+        # the sub-resolution tail, below eps of the maximum, is flushed to 0.0
+        eps, got = np.finfo(np.float64).eps, dg.grid.values
+        assert np.all((got == 0.0) | (got >= eps * got.max()))
+        assert np.all(got[want < eps * want.max()] == 0.0)
+        assert abs(got.sum() * spec.cell_area_deg2 - 1.0) <= 1e-12
 
 
 class TestCsvRoundTrip:

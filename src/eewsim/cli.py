@@ -1,9 +1,8 @@
 """Command-line front end for reproducible batch runs.
 
 Every command is a pure function of (config file, input files,
-master_seed): reruns produce byte-identical outputs, regardless of the
-EEWSIM_THREADS worker count. Exit codes: 0 success, 1 internal error,
-2 invalid input or configuration.
+master_seed): reruns produce byte-identical outputs. Exit codes: 0 success,
+1 internal error, 2 invalid input or configuration.
 """
 
 from __future__ import annotations
@@ -184,9 +183,8 @@ def cmd_warn(
     rows = warning.warning_vs_n(
         results, cfg.earthquake, cfg.velocity, cfg.alert, mmi, pop, cfg.mmi_bins
     )
-    buf = io.StringIO()
-    warning.write_warning_vs_n_csv(buf, rows)
-    _write_text(cfg.out_dir / "warning_vs_n.csv", buf.getvalue())
+    vs_n = io.StringIO()
+    warning.write_warning_vs_n_csv(vs_n, rows)
 
     # single-detection histograms, conditioned on the expected detection
     # (density mode, mean detection time) at the largest simulated n
@@ -203,9 +201,11 @@ def cmd_warn(
     else:
         w = warning.warning_field(det, cfg.earthquake, cfg.velocity, cfg.alert, pop)
         stats = warning.warning_stats(w, mmi, pop, cfg.mmi_bins, cfg.hist_width_s)
-    buf = io.StringIO()
-    warning.write_warning_hist_csv(buf, stats)
-    _write_text(cfg.out_dir / "warning_hist.csv", buf.getvalue())
+    hist = io.StringIO()
+    warning.write_warning_hist_csv(hist, stats)
+    # both tables are built before either is written: a failed step writes neither
+    _write_text(cfg.out_dir / "warning_vs_n.csv", vs_n.getvalue())
+    _write_text(cfg.out_dir / "warning_hist.csv", hist.getvalue())
     _say(quiet, f"wrote {cfg.out_dir / 'warning_vs_n.csv'} and "
                 f"{cfg.out_dir / 'warning_hist.csv'}")
 

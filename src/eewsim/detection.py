@@ -101,7 +101,9 @@ def simulate_triggers(
 
     Each phone is included with probability ``p_detect``; an included phone
     triggers at its P arrival plus a uniform delay. The result is sorted by
-    (time, lat, lon) so downstream processing is order-stable.
+    (time, lat, lon) so downstream processing is order-stable. Distinct
+    times fix that order alone, so the (lat, lon) keys are sorted on only
+    when two times are exactly equal.
     """
     rng = seed.generator(STREAM_TRIGGERS)
     n = len(net)
@@ -112,7 +114,10 @@ def simulate_triggers(
     times = arrivals[included] + delays[included]
     lats = net.lats[included]
     lons = net.lons[included]
-    order = np.lexsort((lons, lats, times))
+    order = np.argsort(times)
+    ranked = times[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.lexsort((lons, lats, times))
     return Triggers(times[order], lats[order], lons[order])
 
 

@@ -250,7 +250,7 @@ def format_ascii_grid(grid: Grid) -> str:
         f"NODATA_value {grid.nodata!r}",
     ]
     for row in grid.values.tolist():
-        out.append(" ".join(repr(v) for v in row))
+        out.append(" ".join(map(repr, row)))
     return "\n".join(out) + "\n"
 
 

@@ -3,16 +3,13 @@
 One replica = sample a network, simulate its triggers, run the detector,
 measure delay and separation. Replicas are keyed by (master_seed, n,
 replica) so a campaign is a pure function of its inputs: execution order
-and worker count never change the result. Campaign outputs are per-n
-summaries with empirical 95% bands plus a kernel density of the detection
-locations.
+never changes the result. Campaign outputs are per-n summaries with
+empirical 95% bands plus a kernel density of the detection locations.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import IO, Iterable, Sequence
@@ -20,12 +17,10 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .detection import DetectorParams, PhoneParams, detect, detection_metrics, simulate_triggers
-from .errors import ConfigError, EmptyInput, KernelUnderflow, NoDetections
+from .errors import EmptyInput, KernelUnderflow, NoDetections
 from .geo import GeoPoint, Grid, cell_center
 from .network import Catalog, SeedSpec, sample_network
 from .scenario import Earthquake, VelocityModel
-
-THREADS_ENV_VAR = "EEWSIM_THREADS"
 
 
 @dataclass(frozen=True)
@@ -111,19 +106,6 @@ def run_replica(
     )
 
 
-def worker_count(max_workers: int | None = None) -> int:
-    """Resolve the worker cap: explicit argument, else EEWSIM_THREADS, else 1."""
-    if max_workers is not None:
-        return max(1, int(max_workers))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
-    return 1
-
-
 def summarize(n: int, results: Sequence[RunResult]) -> McSummary:
     """Fold one n's replicas into an McSummary (replica order independent)."""
     detected = [r for r in results if r.detected]
@@ -158,7 +140,6 @@ def run_campaign(
     n_grid: Sequence[int],
     replicas: int,
     master_seed: int,
-    max_workers: int | None = None,
 ) -> tuple[list[McSummary], list[RunResult]]:
     """Run replicas for every n in the grid and summarize per n.
 
@@ -167,19 +148,11 @@ def run_campaign(
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    tasks = [(n, r) for n in n_grid for r in range(replicas)]
-    workers = worker_count(max_workers)
-
-    def one(task: tuple[int, int]) -> RunResult:
-        n, r = task
-        return run_replica(cat, eq, vm, pp, dp, n, r, master_seed)
-
-    if workers <= 1 or len(tasks) <= 1:
-        results = [one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, tasks))
-    # deterministic fold in (n-grid order, replica order); map preserves it
+    results = [
+        run_replica(cat, eq, vm, pp, dp, n, r, master_seed)
+        for n in n_grid for r in range(replicas)
+    ]
+    # deterministic fold in (n-grid order, replica order)
     summaries = []
     by_n: dict[int, list[RunResult]] = {}
     for res in results:

@@ -3,9 +3,9 @@
 All randomness in a simulation flows through :class:`SeedSpec`. Each
 (master_seed, n, replica) triple keys an independent substream via numpy's
 SeedSequence entropy mixing on top of the counter-based Philox generator,
-so replicas can run in any order, or in parallel, with bit-identical
-results. Separate stream tags keep network sampling and trigger simulation
-decorrelated within one replica.
+so replicas can run in any order with bit-identical results. Separate
+stream tags keep network sampling and trigger simulation decorrelated
+within one replica.
 """
 
 from __future__ import annotations
@@ -225,11 +225,15 @@ def synth_catalog(pop: Grid, n_points: int, seed: int) -> Catalog:
 def sample_network(cat: Catalog, n: int, seed: SeedSpec) -> Network:
     """Sample n distinct catalog points, uniformly over all n-subsets.
 
-    Partial Fisher-Yates over the index array; all swap targets are drawn
-    in one vectorized call so the result is a pure function of the seed.
-    The index array stays virtual: only the positions a swap moved are
-    stored, so a replica costs O(n) whatever the catalog size. Step i
-    fixes position i for good (later swaps touch only positions > i).
+    Partial Fisher-Yates over a virtual index array: all swap targets
+    js[i] >= i are drawn in one vectorized call, so the result is a pure
+    function of the seed, and a replica costs O(n log n) whatever the
+    catalog size. Step i takes the value at position js[i]: js[i] itself,
+    unless an earlier step wrote there. The last such step, prev[i], wrote
+    the value its own position held at its turn, which is prev[i] unless an
+    earlier step g[prev[i]] wrote there (g[k] is the last k' < k with
+    js[k'] == k), and so on down the chain. Pointer doubling resolves all
+    chains at once.
     """
     N = len(cat)
     if n < 1:
@@ -237,11 +241,22 @@ def sample_network(cat: Catalog, n: int, seed: SeedSpec) -> Network:
     if n > N:
         raise NTooLarge(f"network size {n} exceeds catalog size {N}")
     rng = seed.generator(STREAM_NETWORK)
-    js = rng.integers(np.arange(n), N).tolist()
-    moved: dict[int, int] = {}
-    chosen = []
-    for i, j in enumerate(js):
-        chosen.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    idx = np.array(chosen, dtype=np.int64)
+    steps = np.arange(n)
+    js = rng.integers(steps, N)
+
+    # the steps grouped by target in step order, as a stable argsort of js
+    # gives them, from one faster sort of the distinct keys js * n + step
+    # (below N**2, which int64 holds for any catalog that fits in memory)
+    targets, by_target = np.divmod(np.sort(js * n + steps), n)
+    dup = np.flatnonzero(targets[1:] == targets[:-1])
+    idx = js
+    if dup.size:  # else no step found its position written: idx is js
+        g = np.full(n, -1)
+        writes = (js < n) & (js != steps)
+        np.maximum.at(g, js[writes], steps[writes])
+        root = np.where(g < 0, steps, g)
+        while not np.array_equal(hop := root[root], root):
+            root = hop
+        # by_target[d + 1] repeats the target of by_target[d], its prev
+        idx[by_target[dup + 1]] = root[by_target[dup]]
     return Network(lats=cat.lats[idx], lons=cat.lons[idx], catalog_indices=idx)

@@ -14,7 +14,7 @@ from eewsim.detection import (
 from eewsim.errors import UnsortedInput
 from eewsim.geo import GeoPoint
 from eewsim.network import Catalog, Network, SeedSpec, sample_network
-from eewsim.scenario import Earthquake, VelocityModel, p_arrival_s
+from eewsim.scenario import Earthquake, VelocityModel, p_arrival_s, p_arrivals_s
 from testutil import detect_oracle, random_triggers, sorted_triggers
 
 
@@ -77,6 +77,23 @@ class TestSimulateTriggers:
                                 spec)
         keys = list(zip(out.times.tolist(), out.lats.tolist(), out.lons.tolist()))
         assert keys == sorted(keys)
+
+    def test_exact_time_ties_sorted_by_lat_lon(self):
+        # phones mirrored in longitude about an epicenter at lon 0 share
+        # their exact P arrival; with a fixed delay their trigger times tie
+        # exactly, so (lat, lon) must break the ties. The east phone comes
+        # first in the network, so keeping network order would be wrong.
+        lats = np.repeat([0.5, 0.2, 0.9, 0.2], 2)
+        lons = np.array([0.3, -0.3, 0.7, -0.7, 0.1, -0.1, 0.4, -0.4])
+        net = Network(lats=lats, lons=lons, catalog_indices=np.arange(lats.size))
+        eq = quake(depth=8.0, lat=0.0, lon=0.0)
+        pp = PhoneParams(p_detect=1.0, delay_lo_s=1.5, delay_hi_s=1.5)
+        out = simulate_triggers(net, eq, VelocityModel(), pp, SeedSpec(3, lats.size, 0))
+        times = p_arrivals_s(eq, VelocityModel(), lats, lons) + 1.5
+        assert np.unique(times).size == lats.size // 2
+        order = np.lexsort((lons, lats, times))
+        for got, want in zip((out.times, out.lats, out.lons), (times, lats, lons)):
+            assert got.tolist() == want[order].tolist()
 
     def test_deterministic(self):
         net = net_of([GeoPoint(18.1, -72.1), GeoPoint(18.2, -72.2), GeoPoint(18.3, -72.3)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eewsim.detection import DetectorParams, PhoneParams
-from eewsim.errors import ConfigError, EmptyInput, NoDetections, NTooLarge
+from eewsim.errors import EmptyInput, NoDetections, NTooLarge
 from eewsim.geo import GeoPoint, cell_center
 from eewsim.montecarlo import (
     DensityGrid,
@@ -16,7 +16,6 @@ from eewsim.montecarlo import (
     run_campaign,
     run_replica,
     summarize,
-    worker_count,
     write_runs_csv,
     write_summary_csv,
 )
@@ -115,16 +114,6 @@ class TestCampaign:
         (s,) = summaries
         assert s.detect_rate == 0.0
         assert s.delay_mean_s is None and s.dist_mean_km is None
-
-    def test_worker_count_does_not_change_results(self):
-        rng = np.random.default_rng(8)
-        cat = Catalog(lats=rng.uniform(17, 20, 200), lons=rng.uniform(-74, -71, 200))
-        eq = Earthquake(epicenter=GeoPoint(18.4, -72.5), depth_km=10.0)
-        args = (cat, eq, VelocityModel(), PhoneParams(), DetectorParams(), [20, 80], 30, 77)
-        s1, r1 = run_campaign(*args, max_workers=1)
-        s4, r4 = run_campaign(*args, max_workers=4)
-        assert s1 == s4
-        assert r1 == r4
 
     def test_bands_ordered(self):
         rng = np.random.default_rng(10)
@@ -305,22 +294,6 @@ class TestCsvRoundTrip:
         text = "n,replica,detected,delay_s,distance_km,det_lat,det_lon\n" + row + "\n"
         with pytest.raises(ValueError, match="line 2: non-finite"):
             read_runs_csv(text)
-
-
-class TestWorkerCount:
-    def test_explicit_wins(self):
-        assert worker_count(3) == 3
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("EEWSIM_THREADS", "6")
-        assert worker_count() == 6
-        monkeypatch.setenv("EEWSIM_THREADS", "bogus")
-        with pytest.raises(ConfigError):
-            worker_count()
-
-    def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("EEWSIM_THREADS", raising=False)
-        assert worker_count() == 1
 
 
 class TestSummarize:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eewsim import network
 from eewsim.errors import (
@@ -23,7 +25,12 @@ from eewsim.network import (
     sample_network,
     synth_catalog,
 )
-from testutil import dense_sample_indices, load_catalog_oracle, make_grid
+from testutil import (
+    dense_sample_indices,
+    load_catalog_oracle,
+    make_grid,
+    sparse_sample_indices,
+)
 
 
 class TestLoadCatalog:
@@ -247,6 +254,26 @@ class TestSampleNetwork:
             got = sample_network(cat, n, spec).catalog_indices
             want = dense_sample_indices(spec.generator(STREAM_NETWORK), N, n)
             assert got.tolist() == want.tolist(), (N, n)
+
+    @given(st.data(), st.integers(1, 64), st.integers(0, 2**64 - 1))
+    def test_matches_step_by_step_oracle(self, data, N, master_seed):
+        # small catalogs make swap targets repeat, so the chains of moved
+        # positions get long
+        n = data.draw(st.integers(1, N))
+        spec = SeedSpec(master_seed, n, data.draw(st.integers(0, 2**32)))
+        got = sample_network(self.cat(N), n, spec).catalog_indices
+        want = sparse_sample_indices(spec.generator(STREAM_NETWORK), N, n)
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n", [15, 30, 60])
+    def test_matches_step_by_step_oracle_on_large_catalog(self, n):
+        N = 500_000
+        cat = self.cat(N)
+        for replica in range(300):
+            spec = SeedSpec(11, n, replica)
+            got = sample_network(cat, n, spec).catalog_indices
+            want = sparse_sample_indices(spec.generator(STREAM_NETWORK), N, n)
+            assert got.tolist() == want.tolist(), replica
 
     def test_errors(self):
         cat = self.cat(4)

@@ -84,6 +84,21 @@ def dense_sample_indices(rng: np.random.Generator, N: int, n: int) -> np.ndarray
     return idx[:n].copy()
 
 
+def sparse_sample_indices(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
+    """Partial Fisher-Yates that stores only the positions its swaps moved.
+
+    The step-by-step form of the vectorized network sampler, kept as its
+    oracle: same swap targets, same swaps, one dict update per step.
+    """
+    js = rng.integers(np.arange(n), N).tolist()
+    moved: dict[int, int] = {}
+    chosen = []
+    for i, j in enumerate(js):
+        chosen.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(chosen, dtype=np.int64)
+
+
 def load_catalog_oracle(source, origin: str = "catalog") -> Catalog:
     """Catalog CSV reader that parses one row at a time with ``float``.
 

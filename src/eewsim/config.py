@@ -72,12 +72,6 @@ class _Reader:
             return self.parser.get(section, key)
         return None
 
-    def require(self, section: str, key: str) -> str:
-        value = self._raw(section, key)
-        if value is None:
-            raise ConfigError(f"{self.path}: missing required key [{section}] {key}")
-        return value
-
     def get_float(self, section: str, key: str, default: float | None = None) -> float:
         raw = self._raw(section, key)
         if raw is None:

@@ -10,6 +10,7 @@ package consumes.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -205,17 +206,18 @@ def parse_ascii_grid(source: str | IO[str] | Iterable[str]) -> Grid:
         if header[key] != int(header[key]) or header[key] < 1:
             raise MalformedHeader(f"header {key} must be a positive integer")
 
-    ncols = int(header["ncols"])
-    nrows = int(header["nrows"])
-    tokens = "\n".join(lines[body_start:]).split()
-    if len(tokens) != nrows * ncols:
+    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    values = read_float_rows(lines[body_start:])
+    # where numpy's reader fails (ragged rows, a number only float takes), split into tokens
+    values = "\n".join(lines[body_start:]).split() if values is None else values.ravel()
+    if len(values) != nrows * ncols:
         raise DimensionMismatch(
-            f"expected {nrows * ncols} values for a {nrows}x{ncols} grid, got {len(tokens)}"
+            f"expected {nrows * ncols} values for a {nrows}x{ncols} grid, got {len(values)}"
         )
     try:
-        values = np.array(tokens, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
     except ValueError:
-        bad = next(t for t in tokens if not _is_number(t))
+        bad = next(t for t in values if not _is_number(t))
         raise NonFiniteValue(f"grid value {bad!r} is not a number") from None
     return Grid(
         ncols=ncols,
@@ -226,6 +228,21 @@ def parse_ascii_grid(source: str | IO[str] | Iterable[str]) -> Grid:
         nodata=header["nodata_value"],
         values=values,
     )
+
+
+def read_float_rows(lines: Iterable[str], delimiter: str | None = None) -> np.ndarray | None:
+    """Lines parsed by numpy's C reader as a 2-D float64 array, or None if it fails.
+
+    Empty lines are skipped. The reader fails on rows of unequal length and
+    on any field but an ASCII number, some of which ``float`` takes (``1_0``,
+    full-width digits): a caller re-parses a failed text with ``float``.
+    """
+    with warnings.catch_warnings():  # no data lines is no error: the array is empty
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+        except ValueError:
+            return None
 
 
 def _is_number(token: str) -> bool:

@@ -13,21 +13,20 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import IO, Iterable
 
 import numpy as np
 
 from .errors import (
     AllZeroPopulation,
-    EewsimError,
     EmptyCatalog,
     MalformedRow,
     NTooLarge,
     NZero,
     OutOfRangeCoordinate,
 )
-from .geo import GeoPoint, Grid
+from .geo import GeoPoint, Grid, read_float_rows
 
 # substream tags; never reuse a value for a new purpose
 STREAM_NETWORK = 1
@@ -125,10 +124,10 @@ def load_catalog(source: str | IO[str] | Iterable[str], origin: str = "catalog")
     The text is streamed. A ``str`` is read through universal newlines
     (lines end at ``\\n``, ``\\r\\n`` or ``\\r``); a file handle or any
     other iterable yields one line per item. Body lines are taken
-    ``_CHUNK_LINES`` at a time and each chunk is parsed with one numpy
-    str -> float64 cast, which calls ``float`` on every token, so working
-    memory is one chunk plus the output arrays. Blank lines are skipped,
-    and an error names its 1-based line.
+    ``_CHUNK_LINES`` at a time and each chunk is parsed by numpy's C
+    reader, or line by line with ``float`` where that reader fails, so
+    working memory is one chunk plus the output arrays. Blank lines are
+    skipped, and an error names its 1-based line.
     """
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else iter(source)
     for header_no, line in enumerate(lines, 1):
@@ -145,47 +144,37 @@ def load_catalog(source: str | IO[str] | Iterable[str], origin: str = "catalog")
     while chunk := list(islice(lines, _CHUNK_LINES)):
         chunks.append(_parse_chunk(chunk, first_lineno, origin))
         first_lineno += len(chunk)
-    vals = np.concatenate(chunks) if chunks else np.empty(0)
+    vals = np.concatenate(chunks) if chunks else np.empty((0, 2))
     if not vals.size:
         raise EmptyCatalog(f"{origin}: no data rows")
-    return Catalog(lats=vals[0::2], lons=vals[1::2], source=origin)
+    return Catalog(lats=vals[:, 0], lons=vals[:, 1], source=origin)
 
 
 def _parse_chunk(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray:
-    """Parse body lines into one flat ``lat, lon, lat, lon, ...`` array."""
-    rows = [r for r in map(str.strip, chunk) if r]
-    if not rows:
-        return np.empty(0)
-    if set(map(str.count, rows, repeat(","))) == {1}:
-        try:
-            vals = np.array(",".join(rows).split(","), dtype=np.float64)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(vals).all() and (np.abs(vals[0::2]) <= 90.0).all():
-                return vals
-    raise _row_error(chunk, first_lineno, origin)
-
-
-def _row_error(chunk: list[str], first_lineno: int, origin: str) -> EewsimError:
-    """The error for the first bad line of a chunk that failed a check."""
+    """Parse body lines into an (m, 2) array of lat, lon rows."""
+    vals = read_float_rows(chunk, delimiter=",")
+    if vals is not None and vals.shape[1] == 2 and np.isfinite(vals).all():
+        if (np.abs(vals[:, 0]) <= 90.0).all():
+            return vals
+    # parse line by line with float, which takes what numpy's reader does
+    # not (``1_0``, whitespace-only lines) and names the first bad line
+    rows = []
     for lineno, line in enumerate(map(str.strip, chunk), first_lineno):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            return MalformedRow(f"{origin} line {lineno}: expected 'lat,lon', got {line!r}")
+            raise MalformedRow(f"{origin} line {lineno}: expected 'lat,lon', got {line!r}")
         try:
-            lat, lon = float(parts[0]), float(parts[1])
+            lat, lon = map(float, parts)
         except ValueError:
-            return MalformedRow(f"{origin} line {lineno}: cannot parse {line!r}")
+            raise MalformedRow(f"{origin} line {lineno}: cannot parse {line!r}") from None
         if not (math.isfinite(lat) and math.isfinite(lon)):
-            return OutOfRangeCoordinate(f"{origin} line {lineno}: non-finite coordinate")
+            raise OutOfRangeCoordinate(f"{origin} line {lineno}: non-finite coordinate")
         if not -90.0 <= lat <= 90.0:
-            return OutOfRangeCoordinate(
-                f"{origin} line {lineno}: latitude {lat} outside [-90, 90]"
-            )
-    raise RuntimeError(f"{origin}: no bad line in the chunk from line {first_lineno}")
+            raise OutOfRangeCoordinate(f"{origin} line {lineno}: latitude {lat} outside [-90, 90]")
+        rows.append((lat, lon))
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
 def format_catalog(cat: Catalog) -> str:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from eewsim.errors import (
     DimensionMismatch,
+    EewsimError,
     EmptyBins,
     IndexOutOfRange,
     MalformedHeader,
@@ -28,10 +29,11 @@ from eewsim.geo import (
     haversine_km_points,
     normalize_lon,
     parse_ascii_grid,
+    read_float_rows,
     sample_at,
     sample_values,
 )
-from testutil import make_grid
+from testutil import make_grid, parse_ascii_grid_oracle
 
 ASC_2X2 = """\
 ncols 2
@@ -157,6 +159,49 @@ class TestAsciiGrid:
         assert g.values[1, 0] == -9999.0
         assert not g.mask[1, 0]
         assert g.mask.sum() == 3
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @pytest.mark.parametrize("body", [
+        "0.1 -2.5e-3 3\n4 5 6.02\n",
+        "\n  1 2 3 \n \t\n4\t5 6\n\n",
+        "1 2\n3 4 5 6\n",  # ragged rows
+        "1\n2\n3\n4\n5\n6\n",  # one value per line
+        "1 2\n3\n4 5 6\n",  # the first row split over two lines
+        "1_0 2 3\n4 5 6\n",  # float takes these two, numpy's reader does not
+        "\uff11 2 3\n4 5 6\n",
+        "1 2 #\n4 5 6\n",
+        "1 2 3 #\n4 5 6\n",
+        "nan 2 3\n4 5 6\n",
+        "1 2 3\n4 5 x\n",
+        "1,2,3\n4,5,6\n",
+        "1 2 3\n4 5\n",  # one value too few
+        "1 2 3\n4 5 6 7\n",  # one value too many
+        "1 2 3 4\n5 6 7 8\n",  # too many in rows numpy's reader takes
+        "",
+    ])
+    def test_body_matches_split_oracle(self, body):
+        head = "ncols 3\nnrows 2\nxllcorner 0.0\nyllcorner 0.0\ncellsize 1.0\nNODATA_value -9999\n"
+
+        def outcome(parse):
+            try:
+                g = parse(head + body)
+            except EewsimError as e:
+                return type(e), str(e)
+            return g.values.shape, g.values.tobytes()
+
+        assert outcome(parse_ascii_grid) == outcome(parse_ascii_grid_oracle)
+
+
+class TestReadFloatRows:
+    def test_rows_parsed(self):
+        got = read_float_rows(["1.5,-2\n", "\n", " 3 , 4e1"], delimiter=",")
+        assert got.tolist() == [[1.5, -2.0], [3.0, 40.0]]
+
+    @pytest.mark.parametrize("lines", [
+        ["1,2", "3"], ["1,2", "  ", "3,4"], ["1_0,2"], ["\uff11,2"], ["1,2 #"], ["1,"],
+    ])
+    def test_rejects_what_it_cannot_read(self, lines):
+        assert read_float_rows(lines, delimiter=",") is None
 
 
 class TestGridRoleChecks:

@@ -43,9 +43,7 @@ GOLDEN_SHA256 = {
 def demo_outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     config = write_demo(root)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("EEWSIM_THREADS", "1")
-        assert main(["all", "--config", str(config), "--quiet"]) == 0
+    assert main(["all", "--config", str(config), "--quiet"]) == 0
     return root / "out"
 
 

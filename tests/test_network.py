@@ -88,20 +88,39 @@ def _messy_catalog(rng: np.random.Generator, rows: int) -> str:
     return "".join(out)
 
 
+def _outcome(loader, source):
+    """The arrays' bytes ``loader`` reads from ``source``, or its error's type and message."""
+    try:
+        cat = loader(source, origin="cat.csv")
+    except EewsimError as e:
+        return type(e), str(e)
+    return cat.lats.tobytes(), cat.lons.tobytes()
+
+
 def _outcomes(loader, text: str, path) -> list:
     """What ``loader`` makes of ``text`` as a str, a file handle and a list of lines."""
-
-    def outcome(source):
-        try:
-            cat = loader(source, origin="cat.csv")
-        except EewsimError as e:
-            return type(e), str(e)
-        return cat.lats.tobytes(), cat.lons.tobytes()
-
     path.write_text(text, encoding="utf-8", newline="")
     with open(path, encoding="utf-8") as fh:
-        from_file = outcome(fh)
-    return [outcome(text), from_file, outcome(text.splitlines())]
+        from_file = _outcome(loader, fh)
+    return [_outcome(loader, text), from_file, _outcome(loader, text.splitlines())]
+
+
+# catalog lines: good rows numpy's reader takes, good rows only float takes
+# (``1_0``, full-width digits, whitespace-only lines), and bad rows
+_LAT = st.one_of(st.floats(-90, 90).map(repr), st.sampled_from(["18.5", " -0.0\t", "1e1", "7."]))
+_LON = st.one_of(st.floats(-400, 400).map(repr), st.sampled_from(["-72.25", "180", "-1e3 "]))
+_FLOAT_ONLY = st.sampled_from(["1_0", "\uff11\uff18.5", "-7_2.5"])
+_BAD = st.sampled_from(["#", "nan", "inf", "91", "-90.5", "", " ", "1e999"])
+_GOOD_LINE = st.one_of(
+    st.tuples(_LAT, _LON).map(",".join),
+    st.tuples(st.one_of(_LAT, _FLOAT_ONLY), st.one_of(_LON, _FLOAT_ONLY)).map(",".join),
+    st.sampled_from(["", "   ", "\t"]),
+)
+_ANY_LINE = st.one_of(
+    _GOOD_LINE,
+    st.tuples(st.one_of(_LAT, _BAD), st.one_of(_LON, _BAD)).map(",".join),
+    st.lists(st.one_of(_LAT, _LON, _BAD), min_size=1, max_size=3).map(",".join),
+)
 
 
 class TestLoadCatalogStreaming:
@@ -143,6 +162,22 @@ class TestLoadCatalogStreaming:
         got = _outcomes(load_catalog, text, tmp_path / "cat.csv")
         assert got == _outcomes(load_catalog_oracle, text, tmp_path / "cat.csv")
         assert all(g[0] in (EmptyCatalog, MalformedRow) for g in got)
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @given(
+        st.one_of(st.lists(_GOOD_LINE, max_size=80), st.lists(_ANY_LINE, max_size=80)),
+        st.sampled_from(["\n", "\r\n"]),
+        st.sampled_from([1, 3, 64]),
+    )
+    def test_reader_fallback_matches_row_oracle(self, lines, newline, chunk):
+        # chunks numpy's reader rejects are parsed again line by line: they
+        # must give the oracle's values, or its error for the same line
+        text = newline.join(["lat,lon", *lines, ""])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "_CHUNK_LINES", chunk)
+            got = [_outcome(load_catalog, text), _outcome(load_catalog, text.splitlines())]
+        want = _outcome(load_catalog_oracle, text)
+        assert got == [want, want]
 
     def test_memory_bounded_by_one_chunk(self, monkeypatch, tmp_path):
         # The output is 16 bytes a row. At the end the chunk arrays, their

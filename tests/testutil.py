@@ -9,8 +9,15 @@ from statistics import fmean
 import numpy as np
 
 from eewsim.detection import Triggers
-from eewsim.errors import EmptyCatalog, MalformedRow, OutOfRangeCoordinate
-from eewsim.geo import Grid, normalize_lon
+from eewsim.errors import (
+    DimensionMismatch,
+    EmptyCatalog,
+    MalformedHeader,
+    MalformedRow,
+    NonFiniteValue,
+    OutOfRangeCoordinate,
+)
+from eewsim.geo import _HEADER_KEYS, Grid, _as_text, _is_number, normalize_lon
 from eewsim.montecarlo import percentile, silverman_bandwidth_deg
 from eewsim.network import Catalog
 from eewsim.scenario import s_arrivals_s
@@ -142,6 +149,57 @@ def load_catalog_oracle(source, origin: str = "catalog") -> Catalog:
         lats[k] = lat
         lons[k] = normalize_lon(lon)
     return Catalog(lats=lats, lons=lons, source=origin)
+
+
+def parse_ascii_grid_oracle(source) -> Grid:
+    """ESRI ASCII grid reader that splits the whole body into tokens.
+
+    The straightforward form of ``parse_ascii_grid``, kept as its oracle:
+    one numpy str -> float64 cast of the tokens, which calls ``float`` on
+    each, and a second pass with ``float`` to name a bad token.
+    """
+    lines = _as_text(source).splitlines()
+    header: dict[str, float] = {}
+    body_start = 0
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if not parts:
+            continue
+        key = parts[0].lower()
+        if key not in _HEADER_KEYS:
+            body_start = i
+            break
+        if len(parts) != 2:
+            raise MalformedHeader(f"header line {i + 1}: expected 'key value', got {line!r}")
+        if key in header:
+            raise MalformedHeader(f"duplicate header {parts[0]!r}")
+        try:
+            header[key] = float(parts[1])
+        except ValueError:
+            raise MalformedHeader(f"header {parts[0]!r}: cannot parse {parts[1]!r}") from None
+        body_start = i + 1
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise MalformedHeader(f"missing header(s): {', '.join(missing)}")
+    for key in ("ncols", "nrows"):
+        if header[key] != int(header[key]) or header[key] < 1:
+            raise MalformedHeader(f"header {key} must be a positive integer")
+
+    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    tokens = "\n".join(lines[body_start:]).split()
+    if len(tokens) != nrows * ncols:
+        raise DimensionMismatch(
+            f"expected {nrows * ncols} values for a {nrows}x{ncols} grid, got {len(tokens)}"
+        )
+    try:
+        values = np.array(tokens, dtype=np.float64)
+    except ValueError:
+        bad = next(t for t in tokens if not _is_number(t))
+        raise NonFiniteValue(f"grid value {bad!r} is not a number") from None
+    return Grid(
+        ncols=ncols, nrows=nrows, xll=header["xllcorner"], yll=header["yllcorner"],
+        cellsize=header["cellsize"], nodata=header["nodata_value"], values=values,
+    )
 
 
 def inv_cdf_percentile(values, p) -> float:

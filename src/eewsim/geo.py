@@ -256,7 +256,11 @@ def _is_number(token: str) -> bool:
 def format_ascii_grid(grid: Grid) -> str:
     """Serialize a grid so that parse(format(g)) == g exactly.
 
-    Floats are written with repr, which round-trips ASCII <-> float64.
+    Floats are written with repr, which round-trips ASCII <-> float64,
+    except +0.0 (all float64 bits zero), which is written as repr's ``0.0``
+    without calling it: a flushed density grid is mostly +0.0. The test is
+    on the bits, as -0.0 == 0.0 but repr gives ``-0.0``; -0.0, subnormals
+    and nodata cells go through repr.
     """
     out = [
         f"ncols {grid.ncols}",
@@ -266,8 +270,18 @@ def format_ascii_grid(grid: Grid) -> str:
         f"cellsize {grid.cellsize!r}",
         f"NODATA_value {grid.nodata!r}",
     ]
-    for row in grid.values.tolist():
-        out.append(" ".join(map(repr, row)))
+    zero_row = " ".join(["0.0"] * grid.ncols)
+    nonzero = grid.values.view(np.uint64) != 0
+    for row, mask, count in zip(grid.values, nonzero, nonzero.sum(axis=1).tolist()):
+        if count == grid.ncols:
+            out.append(" ".join(map(repr, row.tolist())))
+        elif count:
+            tokens = ["0.0"] * grid.ncols
+            for j, v in zip(np.flatnonzero(mask).tolist(), row[mask].tolist()):
+                tokens[j] = repr(v)
+            out.append(" ".join(tokens))
+        else:
+            out.append(zero_row)
     return "\n".join(out) + "\n"
 
 

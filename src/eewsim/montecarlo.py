@@ -205,8 +205,9 @@ def detection_density(
     set to 0.0: such a cell is below the resolution of the peak, since
     adding it to the peak cell leaves the peak unchanged. Each flushed cell
     moves by less than eps of the maximum, and the maximum cell, hence the
-    mode, is kept. It also spares the written grid the long repr of the
-    Gaussian tail, whose values reach down to 1e-308.
+    mode, is kept. It also spares the grid writer, ``format_ascii_grid``,
+    the long repr of the Gaussian tail, whose values reach down to 1e-308:
+    the writer puts a literal ``0.0`` for each flushed cell.
 
     The density is then renormalized so cell-sum * cell-area == 1 over the
     grid; KernelUnderflow is raised when no kernel mass is left on it.

@@ -125,7 +125,8 @@ def load_catalog(source: str | IO[str] | Iterable[str], origin: str = "catalog")
     (lines end at ``\\n``, ``\\r\\n`` or ``\\r``); a file handle or any
     other iterable yields one line per item. Body lines are taken
     ``_CHUNK_LINES`` at a time and each chunk is parsed by numpy's C
-    reader, or line by line with ``float`` where that reader fails, so
+    reader (once more without its whitespace-only lines, which that reader
+    rejects), or line by line with ``float`` where that reader fails, so
     working memory is one chunk plus the output arrays. Blank lines are
     skipped, and an error names its 1-based line.
     """
@@ -153,11 +154,16 @@ def load_catalog(source: str | IO[str] | Iterable[str], origin: str = "catalog")
 def _parse_chunk(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray:
     """Parse body lines into an (m, 2) array of lat, lon rows."""
     vals = read_float_rows(chunk, delimiter=",")
+    if vals is None:  # numpy's reader rejects whitespace-only lines: retry without them
+        vals = read_float_rows([ln for ln in chunk if ln.strip()], delimiter=",")
     if vals is not None and vals.shape[1] == 2 and np.isfinite(vals).all():
         if (np.abs(vals[:, 0]) <= 90.0).all():
             return vals
-    # parse line by line with float, which takes what numpy's reader does
-    # not (``1_0``, whitespace-only lines) and names the first bad line
+    return _parse_lines(chunk, first_lineno, origin)
+
+
+def _parse_lines(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray:
+    """Parse body lines one by one with float, which takes ``1_0``; errors name the line."""
     rows = []
     for lineno, line in enumerate(map(str.strip, chunk), first_lineno):
         if not line:

@@ -1,9 +1,17 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from eewsim.demo import build_mmi_grid, build_population_grid
 from eewsim.geo import GeoPoint
 from eewsim.network import synth_catalog
 from eewsim.scenario import Earthquake, VelocityModel
+
+# CI runs the property tests with HYPOTHESIS_PROFILE=ci: the same examples on
+# every run, and no per-example deadline to trip on a slow runner
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

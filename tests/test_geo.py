@@ -33,7 +33,7 @@ from eewsim.geo import (
     sample_at,
     sample_values,
 )
-from testutil import make_grid, parse_ascii_grid_oracle
+from testutil import format_ascii_grid_oracle, make_grid, parse_ascii_grid_oracle
 
 ASC_2X2 = """\
 ncols 2
@@ -45,6 +45,37 @@ NODATA_value -9999
 1 2
 3 4
 """
+
+
+def _flushed_gaussian() -> np.ndarray:
+    """A grid shaped like a detection density: a Gaussian bump whose cells
+    below float64 eps of the peak are flushed to +0.0. It holds rows with
+    no zero cell, rows with some and rows of zeros only."""
+    lat, lon = np.arange(60.0)[:, None], np.arange(50.0)[None, :]
+    vals = np.exp(-((lat - 12.3) ** 2 + (lon - 30.7) ** 2) / (2 * 4.0**2))
+    vals[vals < np.finfo(np.float64).eps * vals.max()] = 0.0
+    return vals / vals.sum()
+
+
+# grids on which the writer must give the repr-per-cell oracle's text
+_WRITER_GRIDS = {
+    "all +0.0": np.zeros((3, 4)),
+    "all -0.0": np.full((3, 4), -0.0),
+    "signed zeros in one row": [[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, 0.0], [0.0] * 4],
+    "subnormals": [[5e-324, 0.0, -5e-324], [0.0, -5e-324, 0.0], [5e-324, 5e-324, 5e-324]],
+    "nodata": [[-9999.0, 0.0, 0.0], [0.0, -9999.0, -9999.0], [-9999.0] * 3],
+    "1x1 +0.0": [[0.0]],
+    "1x1 -0.0": [[-0.0]],
+    "1x1 value": [[2.5]],
+    "1xN": [[0.0, 1e-308, 0.0, 0.0, 3.0, -0.0]],
+    "Nx1": [[0.0], [1e-308], [0.0], [-0.0], [7.25]],
+    "dense random": np.random.default_rng(8).uniform(-1e3, 1e3, size=(12, 15)),
+    "flushed gaussian": _flushed_gaussian(),
+}
+_CELL = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-308, 1.0, -9999.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 class TestGeoPoint:
@@ -123,6 +154,24 @@ class TestAsciiGrid:
         vals[rng.random((7, 5)) < 0.2] = -9999.0
         g = make_grid(vals, xll=-74.61, yll=17.83, cellsize=0.0217)
         assert parse_ascii_grid(format_ascii_grid(g)) == g
+
+    def test_round_trip_keeps_signed_zeros(self):
+        # Grid equality cannot tell -0.0 from 0.0, so compare the bytes
+        vals = [[0.0, -0.0, 1.5], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0], [5e-324, -5e-324, -9999.0]]
+        g = make_grid(vals)
+        assert parse_ascii_grid(format_ascii_grid(g)).values.tobytes() == g.values.tobytes()
+
+    @pytest.mark.parametrize("name", list(_WRITER_GRIDS))
+    def test_writer_matches_repr_oracle(self, name):
+        g = make_grid(_WRITER_GRIDS[name], xll=-74.61, yll=17.83, cellsize=0.0217)
+        assert format_ascii_grid(g) == format_ascii_grid_oracle(g)
+
+    @given(st.integers(1, 5).flatmap(
+        lambda ncols: st.lists(st.lists(_CELL, min_size=ncols, max_size=ncols), min_size=1, max_size=4)
+    ))
+    def test_writer_matches_repr_oracle_on_small_grids(self, rows):
+        g = make_grid(rows)
+        assert format_ascii_grid(g) == format_ascii_grid_oracle(g)
 
     def test_headers_case_insensitive(self):
         text = ASC_2X2.replace("ncols", "NCOLS").replace("NODATA_value", "nodata_VALUE")

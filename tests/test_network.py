@@ -106,7 +106,7 @@ def _outcomes(loader, text: str, path) -> list:
 
 
 # catalog lines: good rows numpy's reader takes, good rows only float takes
-# (``1_0``, full-width digits, whitespace-only lines), and bad rows
+# (``1_0``, full-width digits), whitespace-only lines, and bad rows
 _LAT = st.one_of(st.floats(-90, 90).map(repr), st.sampled_from(["18.5", " -0.0\t", "1e1", "7."]))
 _LON = st.one_of(st.floats(-400, 400).map(repr), st.sampled_from(["-72.25", "180", "-1e3 "]))
 _FLOAT_ONLY = st.sampled_from(["1_0", "\uff11\uff18.5", "-7_2.5"])
@@ -178,6 +178,26 @@ class TestLoadCatalogStreaming:
             got = [_outcome(load_catalog, text), _outcome(load_catalog, text.splitlines())]
         want = _outcome(load_catalog_oracle, text)
         assert got == [want, want]
+
+    @pytest.mark.parametrize("blank", ["  ", "\t", " \t "])
+    def test_whitespace_only_lines_stay_on_the_reader(self, monkeypatch, blank):
+        # numpy's reader rejects a whitespace-only line; the chunk is read
+        # again without such lines, not line by line with float
+        def per_line(*args):
+            raise AssertionError("chunk parsed line by line")
+
+        monkeypatch.setattr(network, "_CHUNK_LINES", 16)
+        monkeypatch.setattr(network, "_parse_lines", per_line)
+        rng = np.random.default_rng(len(blank))
+        lines = ["lat,lon"]
+        for k, (lat, lon) in enumerate(zip(rng.uniform(-90, 90, 60).tolist(),
+                                           rng.uniform(-180, 180, 60).tolist())):
+            lines += [f"{lat!r},{lon!r}"] + [blank] * (k % 3 == 0)
+        for newline in ("\n", "\r\n"):
+            text = newline.join(lines + [""])
+            got = _outcome(load_catalog, text)
+            assert got == _outcome(load_catalog_oracle, text)
+            assert np.frombuffer(got[0]).size == 60
 
     def test_memory_bounded_by_one_chunk(self, monkeypatch, tmp_path):
         # The output is 16 bytes a row. At the end the chunk arrays, their

@@ -202,6 +202,24 @@ def parse_ascii_grid_oracle(source) -> Grid:
     )
 
 
+def format_ascii_grid_oracle(grid: Grid) -> str:
+    """ESRI ASCII grid writer that calls repr on every cell.
+
+    The straightforward form of ``format_ascii_grid``, kept as its oracle.
+    """
+    out = [
+        f"ncols {grid.ncols}",
+        f"nrows {grid.nrows}",
+        f"xllcorner {grid.xll!r}",
+        f"yllcorner {grid.yll!r}",
+        f"cellsize {grid.cellsize!r}",
+        f"NODATA_value {grid.nodata!r}",
+    ]
+    for row in grid.values.tolist():
+        out.append(" ".join(map(repr, row)))
+    return "\n".join(out) + "\n"
+
+
 def inv_cdf_percentile(values, p) -> float:
     """Unweighted left-continuous inverse-CDF percentile, exact rationals."""
     v = sorted(float(x) for x in values)

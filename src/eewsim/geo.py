@@ -60,8 +60,7 @@ class Grid:
     """Regular lat/lon raster with a nodata sentinel.
 
     ``values`` has shape (nrows, ncols); row 0 is the northernmost row, as
-    in the file layout. The array is made read-only on construction so
-    grids can be shared freely across threads.
+    in the file layout. The array is made read-only on construction.
     """
 
     ncols: int

@@ -116,8 +116,9 @@ def summarize(n: int, results: Sequence[RunResult]) -> McSummary:
             delay_mean_s=None, delay_lo_s=None, delay_hi_s=None,
             dist_mean_km=None, dist_lo_km=None, dist_hi_km=None,
         )
-    delays = [r.delay_s for r in sorted(detected, key=lambda r: r.replica)]
-    dists = [r.distance_km for r in sorted(detected, key=lambda r: r.replica)]
+    detected.sort(key=lambda r: r.replica)
+    delays = [r.delay_s for r in detected]
+    dists = [r.distance_km for r in detected]
     return McSummary(
         n=n,
         replicas=len(results),

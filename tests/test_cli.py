@@ -1,12 +1,15 @@
 """End-to-end command tests on a small synthetic scenario."""
 
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eewsim.cli
+import eewsim.warning
 from eewsim.cli import main
+from eewsim.errors import EewsimError
 from eewsim.geo import format_ascii_grid, parse_ascii_grid
 from testutil import make_grid
 
@@ -78,6 +81,11 @@ def read(rundir, name):
     return (rundir / "out" / name).read_text(encoding="utf-8")
 
 
+def snapshot(out):
+    """Every file in ``out``, hidden ones included, by name with its bytes."""
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 class TestExposure:
     def test_writes_csv(self, rundir):
         assert run(rundir, "exposure") == 0
@@ -137,9 +145,9 @@ class TestSimulate:
 
     def test_rerun_byte_identical(self, rundir):
         assert run(rundir, "simulate") == 0
-        first = {p.name: p.read_bytes() for p in (rundir / "out").iterdir()}
+        first = snapshot(rundir / "out")
         assert run(rundir, "simulate") == 0
-        second = {p.name: p.read_bytes() for p in (rundir / "out").iterdir()}
+        second = snapshot(rundir / "out")
         assert first == second
 
     def test_seed_override_changes_outputs(self, rundir):
@@ -194,12 +202,12 @@ class TestWarn:
         # then fails on the underflowed density kernel
         assert run(rundir, "simulate") == 0
         out = rundir / "out"
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        before = snapshot(out)
         (rundir / "run.ini").write_text(CONFIG + "\n[density]\nbandwidth_deg = 1e-6\n",
                                         encoding="utf-8")
         assert run(rundir, "warn") == 2
         assert capsys.readouterr().err.startswith("error:")
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert snapshot(out) == before
 
     def test_empty_bin_emits_population_zero_row(self, rundir):
         cfg = CONFIG + "\n[warning]\nmmi_bins = (7.5,8] (11,12]\n"
@@ -233,14 +241,15 @@ class TestWarn:
 class TestAll:
     def test_full_pipeline_and_determinism(self, rundir):
         assert run(rundir, "all") == 0
+        # the exact listing also shows that no hidden temp file is left
         names = sorted(p.name for p in (rundir / "out").iterdir())
         assert names == [
             "catalog.csv", "density_n10.asc", "exposure.csv", "runs.csv",
             "summary.csv", "warning_hist.csv", "warning_vs_n.csv",
         ]
-        first = {p.name: p.read_bytes() for p in (rundir / "out").iterdir()}
+        first = snapshot(rundir / "out")
         assert run(rundir, "all") == 0
-        second = {p.name: p.read_bytes() for p in (rundir / "out").iterdir()}
+        second = snapshot(rundir / "out")
         assert first == second
 
     def test_equals_its_parts(self, rundir):
@@ -249,8 +258,8 @@ class TestAll:
         for command in ("exposure", "synth", "simulate", "warn"):
             assert main([command, "--config", str(rundir / "run.ini"), "--out",
                          str(rundir / "parts"), "--quiet"]) == 0
-        whole = {p.name: p.read_bytes() for p in (rundir / "whole").iterdir()}
-        parts = {p.name: p.read_bytes() for p in (rundir / "parts").iterdir()}
+        whole = snapshot(rundir / "whole")
+        parts = snapshot(rundir / "parts")
         assert len(whole) == 7
         assert whole == parts
 
@@ -264,8 +273,12 @@ class TestAll:
         def no_catalog_read(*args, **kwargs):
             raise AssertionError("the synthesized catalog was read back from CSV")
 
+        def no_runs_read(*args, **kwargs):
+            raise AssertionError("the campaign's replicas were read back from runs.csv")
+
         monkeypatch.setattr(eewsim.cli, "parse_ascii_grid", counting)
         monkeypatch.setattr(eewsim.cli, "load_catalog", no_catalog_read)
+        monkeypatch.setattr(eewsim.cli, "read_runs_csv", no_runs_read)
         assert run(rundir, "all") == 0
         assert sources == ["mmi.asc", "pop.asc"]
         sources.clear()
@@ -282,6 +295,63 @@ class TestAll:
         assert main(["simulate", "--config", str(rundir / "run.ini"), "--replicas", "3",
                      "--quiet"]) == 0
         assert len(read(rundir, "runs.csv").splitlines()) == 1 + 3
+
+
+class TestAtomicOutputs:
+    """A command's outputs appear together or not at all."""
+
+    @pytest.mark.parametrize("error, code", [(EewsimError, 2), (RuntimeError, 1)])
+    @pytest.mark.parametrize("module, name", [
+        (eewsim.cli, "exposure_histogram"),
+        (eewsim.cli, "synth_catalog"),
+        (eewsim.cli, "run_campaign"),
+        (eewsim.warning, "warning_vs_n"),
+        (eewsim.warning, "warning_stats"),
+    ])
+    def test_failed_all_keeps_previous_outputs(self, rundir, monkeypatch, module, name,
+                                               error, code):
+        assert run(rundir, "all") == 0
+        out = rundir / "out"
+        before = snapshot(out)
+        # a new seed and a denser city centre change every output of the rerun
+        (rundir / "pop.asc").write_text(POP.replace(" 2000 ", " 2500 "), encoding="utf-8")
+
+        def fail(*args, **kwargs):
+            raise error(f"{name} failed")
+
+        with monkeypatch.context() as m:
+            m.setattr(module, name, fail)
+            assert run(rundir, "all", "--seed", "78") == code
+        assert snapshot(out) == before
+        assert run(rundir, "all", "--seed", "78") == 0
+        after = snapshot(out)
+        assert after.keys() == before.keys()
+        assert all(after[k] != before[k] for k in before)
+
+    def test_failed_simulate_rerun_keeps_previous_outputs(self, rundir, capsys):
+        assert run(rundir, "simulate") == 0
+        out = rundir / "out"
+        before = snapshot(out)
+        (rundir / "run.ini").write_text(CONFIG + "\n[density]\nbandwidth_deg = 1e-6\n",
+                                        encoding="utf-8")
+        assert run(rundir, "simulate", "--seed", "78") == 2
+        assert "bandwidth 1e-06" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    def test_failed_commit_leaves_no_temp_file(self, rundir, monkeypatch, capsys):
+        replace = os.replace
+        calls = []
+
+        def replace_once(src, dst):
+            calls.append(dst)
+            if len(calls) > 1:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_once)
+        assert run(rundir, "simulate") == 2
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in (rundir / "out").iterdir()) == ["runs.csv"]
 
 
 class TestBadConfig:

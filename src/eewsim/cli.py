@@ -8,8 +8,8 @@ A command's outputs appear together or not at all. Each output goes to a
 hidden temp file beside its target (``.<name>.tmp``) as soon as it is
 built; only once the command has returned does one ``os.replace`` per
 output move them into place. A command that fails leaves every file in the
-output directory as it was. A crash between two ``os.replace`` calls is out
-of scope.
+output directory as it was, and removes the directories it created. A crash
+between two ``os.replace`` calls is out of scope.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import sys
 import traceback
 from functools import cached_property
 from pathlib import Path
+from statistics import fmean
 from typing import Sequence
 
 from . import montecarlo, warning
@@ -59,6 +60,7 @@ class _Run:
         self.cfg = cfg
         self.quiet = quiet
         self.staged: list[str] = []
+        self.created: list[Path] = []  # directories write() made, deepest first
 
     def say(self, message: str) -> None:
         if not self.quiet:
@@ -103,7 +105,10 @@ class _Run:
 
     def write(self, name: str, text: str) -> None:
         """Stage one output; commit() moves it into place."""
-        self.cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        out = self.cfg.out_dir
+        if not out.is_dir():
+            self.created = [d for d in (out, *out.parents) if not d.exists()]
+            out.mkdir(parents=True)
         self.staged.append(name)
         with open(self._temp(name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -114,8 +119,13 @@ class _Run:
         self.say(f"wrote {len(self.staged)} files to {self.cfg.out_dir}")
 
     def discard(self) -> None:
+        """Remove the temp files, and the directories write() made unless they hold an output."""
         for name in self.staged:
             self._temp(name).unlink(missing_ok=True)
+        for d in self.created:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
 
 
 def cmd_exposure(run: _Run) -> None:
@@ -173,28 +183,23 @@ def cmd_simulate(run: _Run) -> None:
 def cmd_warn(run: _Run) -> None:
     """Derive warning-time outputs from an existing runs.csv."""
     cfg, results = run.cfg, run.results
-    rows = warning.warning_vs_n(
-        results, cfg.earthquake, cfg.velocity, cfg.alert, run.mmi, run.pop, cfg.mmi_bins
-    )
+    field = warning.warning_field(cfg.earthquake, cfg.velocity, run.mmi, run.pop, cfg.mmi_bins)
+    rows = warning.warning_vs_n(results, cfg.earthquake, cfg.alert, field)
     buf = io.StringIO()
     warning.write_warning_vs_n_csv(buf, rows)
     run.write("warning_vs_n.csv", buf.getvalue())
 
-    # single-detection histograms, conditioned on the expected detection
-    # (density mode, mean detection time) at the largest simulated n
+    # single-detection histograms at the mean detection time of the largest n
     n_max = max({r.n for r in results})
-    try:
-        det, _ = warning.mode_conditioned_detection(
-            results, n_max, cfg.earthquake, run.pop, cfg.density_bandwidth_deg
-        )
-    except NoDetections:
+    delays = [r.delay_s for r in results if r.n == n_max and r.detected]
+    if delays:
+        time_s = cfg.earthquake.origin_time_s + fmean(delays)
+        stats = warning.warning_stats(field, time_s, cfg.alert, cfg.hist_width_s)
+    else:
         run.say(f"n={n_max}: no detections, writing empty warning_hist.csv")
         stats = [
             warning.WarningStats(b, 0.0, None, None, None, ()) for b in cfg.mmi_bins
         ]
-    else:
-        w = warning.warning_field(det, cfg.earthquake, cfg.velocity, cfg.alert, run.pop)
-        stats = warning.warning_stats(w, run.mmi, run.pop, cfg.mmi_bins, cfg.hist_width_s)
     buf = io.StringIO()
     warning.write_warning_hist_csv(buf, stats)
     run.write("warning_hist.csv", buf.getvalue())

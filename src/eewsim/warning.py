@@ -13,7 +13,7 @@ empirical quantile under equal weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import fmean
 from typing import IO, Sequence
 
@@ -89,21 +89,42 @@ def weighted_percentile(values, weights, p: float) -> float:
     return float(v[order][idx])
 
 
+@dataclass(frozen=True)
+class WarningField:
+    """S arrivals and populations of the cells in each intensity bin.
+
+    A cell takes part when it has positive population and its center falls
+    on a valid cell of the intensity grid. Its warning time for an alert
+    raised at time t is its S arrival shifted by one constant:
+    w = s_arrival - t - dissemination_latency.
+    """
+
+    bins: tuple[MmiBin, ...]
+    s_arrivals: tuple[np.ndarray, ...]
+    pops: tuple[np.ndarray, ...]
+
+
 def warning_field(
-    det: Detection,
     eq: Earthquake,
     vm: VelocityModel,
-    ap: AlertParams,
+    mmi: Grid,
     pop: Grid,
-) -> Grid:
-    """Warning time at every population cell center, as a grid.
-
-    w(x) = s_arrival(x) - detection_time - dissemination_latency; cells
-    with nodata population stay nodata.
-    """
+    bins: Sequence[MmiBin],
+) -> WarningField:
+    """Each bin's cells that take part, in row-major order, and their S arrivals."""
+    if not bins:
+        raise EmptyBins("need at least one intensity bin")
+    check_disjoint_bins(bins)
     lat2, lon2 = pop.center_mesh()
-    w = s_arrivals_s(eq, vm, lat2, lon2) - det.time_s - ap.dissemination_latency_s
-    return replace(pop, values=np.where(pop.mask, w, pop.nodata))
+    samples = sample_values(mmi, lat2, lon2)
+    usable = pop.mask & (pop.values > 0) & np.isfinite(samples)
+    s_arr = s_arrivals_s(eq, vm, lat2, lon2)
+    sels = [usable & b.contains(samples) for b in bins]
+    return WarningField(
+        bins=tuple(bins),
+        s_arrivals=tuple(s_arr[sel] for sel in sels),
+        pops=tuple(pop.values[sel] for sel in sels),
+    )
 
 
 def _histogram(w: np.ndarray, pops: np.ndarray, width: float) -> tuple[tuple[float, float, float], ...]:
@@ -138,57 +159,30 @@ def _bin_stats(bin_: MmiBin, w: np.ndarray, pops: np.ndarray, hist_width_s: floa
     )
 
 
-def _bin_selections(
-    mmi: Grid, pop: Grid, bins: Sequence[MmiBin]
-) -> list[tuple[MmiBin, np.ndarray]]:
-    """Per-bin boolean masks over the population grid (row-major, 2-D).
-
-    A cell participates when it has positive population and its center
-    falls on a valid cell of the intensity grid.
-    """
-    if not bins:
-        raise EmptyBins("need at least one intensity bin")
-    check_disjoint_bins(bins)
-    lat2, lon2 = pop.center_mesh()
-    samples = sample_values(mmi, lat2, lon2)
-    usable = pop.mask & (pop.values > 0) & np.isfinite(samples)
-    return [(b, usable & b.contains(samples)) for b in bins]
-
-
 def warning_stats(
-    w: Grid,
-    mmi: Grid,
-    pop: Grid,
-    bins: Sequence[MmiBin],
+    field: WarningField,
+    time_s: float,
+    ap: AlertParams,
     hist_width_s: float = 1.0,
 ) -> list[WarningStats]:
-    """Population-weighted warning-time statistics per intensity bin.
+    """Population-weighted warning-time statistics per bin for one alert time.
 
-    Cells are assigned to the bin containing their sampled intensity;
-    cells with nodata intensity or zero population are excluded. A bin
-    with no matching population yields population 0 and absent statistics.
+    ``time_s`` is the alert's detection time. A bin with no cell that takes
+    part yields population 0 and absent statistics.
     """
-    if (w.ncols, w.nrows, w.xll, w.yll, w.cellsize) != (
-        pop.ncols, pop.nrows, pop.xll, pop.yll, pop.cellsize
-    ):
-        raise ValueError("warning field and population grid must share geometry")
     if not hist_width_s > 0:
         raise ValueError(f"hist_width_s must be > 0, got {hist_width_s}")
-    out = []
-    for b, sel in _bin_selections(mmi, pop, bins):
-        sel = sel & w.mask
-        out.append(_bin_stats(b, w.values[sel], pop.values[sel], hist_width_s))
-    return out
+    return [
+        _bin_stats(b, s_vals - time_s - ap.dissemination_latency_s, pops, hist_width_s)
+        for b, s_vals, pops in zip(field.bins, field.s_arrivals, field.pops)
+    ]
 
 
 def warning_vs_n(
     results: Sequence[RunResult],
     eq: Earthquake,
-    vm: VelocityModel,
     ap: AlertParams,
-    mmi: Grid,
-    pop: Grid,
-    bins: Sequence[MmiBin],
+    field: WarningField,
 ) -> list[WarningBand]:
     """Warning summaries per network size with replica-spread bands.
 
@@ -203,11 +197,6 @@ def warning_vs_n(
     weighted percentiles pick the same cell for every replica: they are
     taken once per bin on the S arrivals and shifted per replica.
     """
-    selections = _bin_selections(mmi, pop, bins)
-    lat2, lon2 = pop.center_mesh()
-    s_arr = s_arrivals_s(eq, vm, lat2, lon2)
-    per_bin = [(b, s_arr[sel], pop.values[sel]) for b, sel in selections]
-
     n_order: list[int] = []
     times_by_n: dict[int, list[float]] = {}
     for r in results:
@@ -221,7 +210,7 @@ def warning_vs_n(
     rows: list[WarningBand] = []
     for n in n_order:
         times = times_by_n[n]
-        for b, s_vals, pops in per_bin:
+        for b, s_vals, pops in zip(field.bins, field.s_arrivals, field.pops):
             if not times or s_vals.size == 0:
                 for stat in stats:
                     rows.append(WarningBand(n, b, stat, None, None, None))
@@ -258,7 +247,7 @@ def mode_conditioned_detection(
 
     The detection location is the mode of the kernel density over the n's
     detected replicas; the detection time is the replica-mean detection
-    time. Used for the single-detection warning histograms.
+    time.
     """
     mine = [r for r in results if r.n == n]
     detected = [r for r in mine if r.detected]

@@ -197,17 +197,52 @@ class TestWarn:
         assert vs_n[0] == "n,bin,stat,value_s,band_lo_s,band_hi_s"
         assert len(vs_n) == 1 + 3 * 3  # one n, three bins, three stats
 
-    def test_failure_leaves_outputs_untouched(self, rundir, capsys):
-        # warning_vs_n.csv is computable here; the conditioned histogram
-        # then fails on the underflowed density kernel
+    def test_failure_leaves_outputs_untouched(self, rundir, capsys, monkeypatch):
+        # warning_vs_n.csv is staged by then; the histogram then fails
         assert run(rundir, "simulate") == 0
         out = rundir / "out"
         before = snapshot(out)
-        (rundir / "run.ini").write_text(CONFIG + "\n[density]\nbandwidth_deg = 1e-6\n",
-                                        encoding="utf-8")
+
+        def fail(*args, **kwargs):
+            raise EewsimError("warning_stats failed")
+
+        monkeypatch.setattr(eewsim.warning, "warning_stats", fail)
         assert run(rundir, "warn") == 2
         assert capsys.readouterr().err.startswith("error:")
         assert snapshot(out) == before
+
+    def test_density_bandwidth_does_not_reach_warn(self, rundir):
+        # warn reads no density kernel, so a bandwidth that underflows it
+        # changes nothing
+        assert run(rundir, "simulate") == 0
+        assert run(rundir, "warn") == 0
+        before = snapshot(rundir / "out")
+        (rundir / "run.ini").write_text(CONFIG + "\n[density]\nbandwidth_deg = 1e-6\n",
+                                        encoding="utf-8")
+        assert run(rundir, "warn") == 0
+        assert snapshot(rundir / "out") == before
+
+    def test_runs_no_density_kernel(self, rundir, monkeypatch):
+        assert run(rundir, "simulate") == 0
+
+        def fail(*args, **kwargs):
+            raise AssertionError("warn ran the density kernel")
+
+        monkeypatch.setattr(eewsim.warning, "detection_density", fail)
+        assert run(rundir, "warn") == 0
+
+    def test_samples_mmi_once(self, rundir, monkeypatch):
+        assert run(rundir, "simulate") == 0
+        calls = []
+        sample_values = eewsim.warning.sample_values
+
+        def counting(*args):
+            calls.append(args)
+            return sample_values(*args)
+
+        monkeypatch.setattr(eewsim.warning, "sample_values", counting)
+        assert run(rundir, "warn") == 0
+        assert len(calls) == 1
 
     def test_empty_bin_emits_population_zero_row(self, rundir):
         cfg = CONFIG + "\n[warning]\nmmi_bins = (7.5,8] (11,12]\n"
@@ -338,6 +373,20 @@ class TestAtomicOutputs:
         assert "bandwidth 1e-06" in capsys.readouterr().err
         assert snapshot(out) == before
 
+    def test_failed_first_run_leaves_no_directory(self, rundir):
+        (rundir / "run.ini").write_text(CONFIG + "\n[density]\nbandwidth_deg = 1e-6\n",
+                                        encoding="utf-8")
+        fresh = rundir / "fresh"
+        assert main(["all", "--config", str(rundir / "run.ini"), "--out", str(fresh / "out"),
+                     "--quiet"]) == 2
+        assert not fresh.exists()
+
+    def test_first_run_keeps_its_directories(self, rundir):
+        out = rundir / "fresh" / "out"
+        assert main(["all", "--config", str(rundir / "run.ini"), "--out", str(out),
+                     "--quiet"]) == 0
+        assert len(snapshot(out)) == 7
+
     def test_failed_commit_leaves_no_temp_file(self, rundir, monkeypatch, capsys):
         replace = os.replace
         calls = []
@@ -390,10 +439,8 @@ class TestBadConfig:
         assert len(err) == 1
         assert err[0].startswith("error:") and "run.ini" in err[0] and "UTF-8" in err[0]
 
-    @pytest.mark.parametrize("command", ["simulate", "all", "warn"])
+    @pytest.mark.parametrize("command", ["simulate", "all"])
     def test_underflowed_kernel_exit_2(self, rundir, capsys, command):
-        if command == "warn":
-            assert run(rundir, "simulate") == 0
         (rundir / "run.ini").write_text(CONFIG + "\n[density]\nbandwidth_deg = 1e-6\n",
                                         encoding="utf-8")
         assert run(rundir, command) == 2

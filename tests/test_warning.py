@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from eewsim.montecarlo import RunResult
 from eewsim.scenario import Earthquake, VelocityModel, s_arrival_s
 from eewsim.warning import (
     AlertParams,
-    WarningStats,
     mode_conditioned_detection,
     warning_field,
     warning_stats,
@@ -61,22 +62,45 @@ class TestWeightedPercentile:
             weighted_percentile([1.0], [-1.0], 50)
 
 
+def uniform_mmi(pop, value=8.0):
+    """An intensity grid with ``pop``'s geometry and one value in every cell."""
+    return make_grid(np.full((pop.nrows, pop.ncols), value), xll=pop.xll, yll=pop.yll,
+                     cellsize=pop.cellsize)
+
+
+def field_with_warnings(w, mmi, pop, bins):
+    """``warning_field`` of the grids, its S arrivals replaced by the cells of ``w``.
+
+    At detection time 0 and latency 0 the field's warning times are then the
+    values of ``w``. ``mmi`` shares ``pop``'s geometry and holds no nodata,
+    so a cell takes part in a bin when its population is positive and its
+    intensity lies in the bin.
+    """
+    field = warning_field(quake(), VelocityModel(), mmi, pop, bins)
+    sels = [(pop.values > 0) & b.contains(mmi.values) for b in bins]
+    assert all(np.array_equal(p, pop.values[sel]) for p, sel in zip(field.pops, sels))
+    return replace(field, s_arrivals=tuple(w.values[sel] for sel in sels))
+
+
 class TestWarningField:
+    ALL = [MmiBin(0.0, 12.0)]
+
     def test_cell_arithmetic(self):
         # cell at hypocentral 35 km (epicenter cell, depth 35), v_s 3.5 -> w = 10 - t
         eq = Earthquake(epicenter=GeoPoint(18.4, -72.5), depth_km=35.0)
         pop = make_grid([[100.0]], xll=-73.0, yll=17.9, cellsize=1.0)
         # cell center is exactly the epicenter
         assert cell_center(pop, 0, 0) == eq.epicenter
-        w = warning_field(detection(time_s=0.0), eq, VelocityModel(), AlertParams(), pop)
-        assert w.values[0, 0] == pytest.approx(10.0, abs=1e-12)
+        field = warning_field(eq, VelocityModel(), uniform_mmi(pop), pop, self.ALL)
+        (ws,) = warning_stats(field, 0.0, AlertParams())
+        assert ws.mean_s == pytest.approx(10.0, abs=1e-12)
 
     def test_blind_zone_sign(self):
         eq = quake(depth=0.0)
         pop = make_grid([[50.0]], xll=-73.0, yll=17.9, cellsize=1.0)
-        w = warning_field(detection(time_s=2.5), eq, VelocityModel(),
-                          AlertParams(dissemination_latency_s=0.5), pop)
-        assert w.values[0, 0] == pytest.approx(-3.0, abs=1e-12)
+        field = warning_field(eq, VelocityModel(), uniform_mmi(pop), pop, self.ALL)
+        (ws,) = warning_stats(field, 2.5, AlertParams(dissemination_latency_s=0.5))
+        assert ws.mean_s == pytest.approx(-3.0, abs=1e-12)
 
     def test_identity_everywhere(self):
         rng = np.random.default_rng(35)
@@ -85,20 +109,39 @@ class TestWarningField:
         pop = make_grid(rng.uniform(0, 500, size=(9, 11)), xll=-73.0, yll=17.8, cellsize=0.1)
         det = detection(time_s=4.2)
         ap = AlertParams(dissemination_latency_s=0.7)
-        w = warning_field(det, eq, vm, ap, pop)
+        (s_arr,) = warning_field(eq, vm, uniform_mmi(pop), pop, self.ALL).s_arrivals
+        w = s_arr - det.time_s - ap.dissemination_latency_s
         delay = det.time_s - eq.origin_time_s
-        for row in range(pop.nrows):
-            for col in range(pop.ncols):
-                cellpt = cell_center(pop, row, col)
-                travel = s_arrival_s(eq, vm, cellpt) - eq.origin_time_s
-                lhs = w.values[row, col] + delay + ap.dissemination_latency_s
-                assert lhs == pytest.approx(travel, abs=1e-9)
+        # every cell is populated and on the intensity grid, so all take part, row-major
+        cells = [(row, col) for row in range(pop.nrows) for col in range(pop.ncols)]
+        assert w.size == len(cells)
+        for k, (row, col) in enumerate(cells):
+            cellpt = cell_center(pop, row, col)
+            travel = s_arrival_s(eq, vm, cellpt) - eq.origin_time_s
+            lhs = w[k] + delay + ap.dissemination_latency_s
+            assert lhs == pytest.approx(travel, abs=1e-9)
 
     def test_nodata_cells_stay_nodata(self):
-        pop = make_grid([[10.0, -9999.0]])
-        w = warning_field(detection(), quake(), VelocityModel(), AlertParams(), pop)
-        assert w.values[0, 1] == -9999.0
-        assert w.mask[0, 0]
+        # nodata or empty population, or nodata intensity: the cell takes no part
+        pop = make_grid([[10.0, -9999.0, 0.0, 4.0]])
+        mmi = make_grid([[8.0, 8.0, 8.0, -9999.0]])
+        field = warning_field(quake(), VelocityModel(), mmi, pop, self.ALL)
+        assert field.pops[0].tolist() == [10.0]
+        assert field.s_arrivals[0].shape == (1,)
+
+    def test_cells_go_to_their_bin(self):
+        pop = make_grid([[1.0, 2.0, 3.0, 4.0]])
+        mmi = make_grid([[7.6, 8.2, 7.9, 9.5]])
+        bins = [MmiBin(7.5, 8.0), MmiBin(8.0, 8.5), MmiBin(10.0, 11.0)]
+        field = warning_field(quake(), VelocityModel(), mmi, pop, bins)
+        assert field.bins == tuple(bins)
+        assert [p.tolist() for p in field.pops] == [[1.0, 3.0], [2.0], []]
+
+    def test_overlapping_bins_rejected(self):
+        pop = make_grid([[1.0]])
+        with pytest.raises(ValueError):
+            warning_field(quake(), VelocityModel(), uniform_mmi(pop), pop,
+                          [MmiBin(7.0, 8.5), MmiBin(8.0, 9.0)])
 
 
 class TestWarningStats:
@@ -110,7 +153,8 @@ class TestWarningStats:
 
     def test_uniform_w_collapses(self):
         w, mmi, pop = self.one_bin_setup(7.0)
-        (ws,) = warning_stats(w, mmi, pop, [MmiBin(0.0, 12.0)])
+        field = field_with_warnings(w, mmi, pop, [MmiBin(0.0, 12.0)])
+        (ws,) = warning_stats(field, 0.0, AlertParams())
         assert ws.population == 400.0
         assert ws.p2_5_s == ws.mean_s == ws.p97_5_s == 7.0
 
@@ -118,12 +162,14 @@ class TestWarningStats:
         pop = make_grid([[999.0, 1.0]])
         mmi = make_grid([[8.0, 8.0]])
         w = make_grid([[10.0, -5.0]])
-        (ws,) = warning_stats(w, mmi, pop, [MmiBin(7.5, 8.5)])
+        field = field_with_warnings(w, mmi, pop, [MmiBin(7.5, 8.5)])
+        (ws,) = warning_stats(field, 0.0, AlertParams())
         assert ws.p2_5_s == 10.0
 
     def test_empty_bin_row(self):
         w, mmi, pop = self.one_bin_setup()
-        out = warning_stats(w, mmi, pop, [MmiBin(7.5, 8.5), MmiBin(10.0, 11.0)])
+        field = field_with_warnings(w, mmi, pop, [MmiBin(7.5, 8.5), MmiBin(10.0, 11.0)])
+        out = warning_stats(field, 0.0, AlertParams())
         assert out[1].population == 0.0
         assert out[1].p2_5_s is None and out[1].mean_s is None
         assert out[1].histogram == ()
@@ -133,7 +179,8 @@ class TestWarningStats:
         pop = make_grid(rng.uniform(0, 50, size=(6, 6)))
         mmi = make_grid(rng.uniform(6.0, 9.5, size=(6, 6)))
         w = make_grid(rng.uniform(-10, 30, size=(6, 6)))
-        for ws in warning_stats(w, mmi, pop, [MmiBin(6.0, 8.0), MmiBin(8.0, 10.0)], 2.5):
+        field = field_with_warnings(w, mmi, pop, [MmiBin(6.0, 8.0), MmiBin(8.0, 10.0)])
+        for ws in warning_stats(field, 0.0, AlertParams(), 2.5):
             assert sum(h[2] for h in ws.histogram) == ws.population
             for (lo, hi, _), (lo2, _, _) in zip(ws.histogram, ws.histogram[1:]):
                 assert hi == lo2  # contiguous buckets
@@ -142,16 +189,30 @@ class TestWarningStats:
         pop = make_grid([[0.0, 10.0]])
         mmi = make_grid([[8.0, 8.0]])
         w = make_grid([[100.0, 2.0]])
-        (ws,) = warning_stats(w, mmi, pop, [MmiBin(7.5, 8.5)])
+        field = field_with_warnings(w, mmi, pop, [MmiBin(7.5, 8.5)])
+        (ws,) = warning_stats(field, 0.0, AlertParams())
         assert ws.population == 10.0
         assert ws.mean_s == 2.0
+
+    def test_warning_time_equal_to_nodata_counts(self):
+        # S travel to the epicenter cell is 7 km / 3.5 km/s = 2 s, so an
+        # alert at 2 s gives that cell a warning time of exactly 0.0, the
+        # population raster's nodata value
+        eq = Earthquake(epicenter=GeoPoint(18.4, -72.5), depth_km=7.0)
+        pop = make_grid([[50.0, 30.0]], xll=-73.0, yll=17.9, cellsize=1.0, nodata=0.0)
+        assert cell_center(pop, 0, 0) == eq.epicenter
+        field = warning_field(eq, VelocityModel(), uniform_mmi(pop), pop, [MmiBin(0.0, 12.0)])
+        (ws,) = warning_stats(field, 2.0, AlertParams())
+        assert ws.population == 80.0
+        assert ws.p2_5_s == 0.0
 
     def test_ordering_invariant(self):
         rng = np.random.default_rng(39)
         pop = make_grid(rng.uniform(0, 100, size=(8, 8)))
         mmi = make_grid(rng.uniform(5.0, 10.0, size=(8, 8)))
         w = make_grid(rng.normal(5, 10, size=(8, 8)))
-        for ws in warning_stats(w, mmi, pop, [MmiBin(5.0, 7.5), MmiBin(7.5, 10.0)]):
+        field = field_with_warnings(w, mmi, pop, [MmiBin(5.0, 7.5), MmiBin(7.5, 10.0)])
+        for ws in warning_stats(field, 0.0, AlertParams()):
             if ws.population > 0:
                 assert ws.p2_5_s <= ws.mean_s <= ws.p97_5_s
 
@@ -162,27 +223,18 @@ class TestWarningStats:
         pop = make_grid(rng.uniform(1, 100, size=(7, 7)), xll=-73.0, yll=17.9, cellsize=0.15)
         mmi = make_grid(rng.uniform(6, 10, size=(7, 7)), xll=-73.0, yll=17.9, cellsize=0.15)
         bins = [MmiBin(6.0, 8.0), MmiBin(8.0, 10.0)]
-        base = warning_stats(
-            warning_field(detection(), eq, vm, AlertParams(0.0), pop), mmi, pop, bins
-        )
-        shifted = warning_stats(
-            warning_field(detection(), eq, vm, AlertParams(1.0), pop), mmi, pop, bins
-        )
+        field = warning_field(eq, vm, mmi, pop, bins)
+        base = warning_stats(field, detection().time_s, AlertParams(0.0))
+        shifted = warning_stats(field, detection().time_s, AlertParams(1.0))
         for a, b in zip(base, shifted):
             assert b.mean_s == pytest.approx(a.mean_s - 1.0, abs=1e-9)
             assert b.p2_5_s == pytest.approx(a.p2_5_s - 1.0, abs=1e-9)
             assert b.p97_5_s == pytest.approx(a.p97_5_s - 1.0, abs=1e-9)
 
-    def test_geometry_mismatch_rejected(self):
-        w = make_grid([[1.0]])
-        pop = make_grid([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            warning_stats(w, make_grid([[8.0]]), pop, [MmiBin(7.0, 9.0)])
-
     def test_empty_bins(self):
         w, mmi, pop = self.one_bin_setup()
         with pytest.raises(EmptyBins):
-            warning_stats(w, mmi, pop, [])
+            warning_field(quake(), VelocityModel(), mmi, pop, [])
 
 
 def small_scenario(rng):
@@ -206,10 +258,9 @@ class TestWarningVsN:
         eq, vm, ap = quake(), VelocityModel(), AlertParams(0.25)
         bins = [MmiBin(6.0, 8.0), MmiBin(8.0, 9.5)]
         results = [result(300, 0, delay=4.5)]
-        rows = warning_vs_n(results, eq, vm, ap, mmi, pop, bins)
-        det = Detection(time_s=eq.origin_time_s + 4.5, location=GeoPoint(18.4, -72.5),
-                        contributing=())
-        direct = warning_stats(warning_field(det, eq, vm, ap, pop), mmi, pop, bins)
+        field = warning_field(eq, vm, mmi, pop, bins)
+        rows = warning_vs_n(results, eq, ap, field)
+        direct = warning_stats(field, eq.origin_time_s + 4.5, ap)
         by_key = {(r.bin, r.stat): r for r in rows}
         for ws in direct:
             assert by_key[(ws.bin, "p2_5")].value_s == ws.p2_5_s
@@ -220,8 +271,8 @@ class TestWarningVsN:
         rng = np.random.default_rng(49)
         pop, mmi = small_scenario(rng)
         results = [result(300, i, delay=4.5) for i in range(10)]
-        rows = warning_vs_n(results, quake(), VelocityModel(), AlertParams(), mmi, pop,
-                            [MmiBin(6.0, 9.5)])
+        field = warning_field(quake(), VelocityModel(), mmi, pop, [MmiBin(6.0, 9.5)])
+        rows = warning_vs_n(results, quake(), AlertParams(), field)
         for r in rows:
             assert r.band_lo_s == r.value_s == r.band_hi_s
 
@@ -230,7 +281,8 @@ class TestWarningVsN:
         pop, mmi = small_scenario(rng)
         results = [result(300, 0), result(600, 0, delay=3.0)]
         bins = [MmiBin(6.0, 9.5), MmiBin(11.0, 12.0)]
-        rows = warning_vs_n(results, quake(), VelocityModel(), AlertParams(), mmi, pop, bins)
+        field = warning_field(quake(), VelocityModel(), mmi, pop, bins)
+        rows = warning_vs_n(results, quake(), AlertParams(), field)
         assert len(rows) == 2 * 2 * 3  # two n, two bins, three stats
         for r in rows:
             if r.n == 300 or r.bin == bins[1]:
@@ -242,11 +294,11 @@ class TestWarningVsN:
         rng = np.random.default_rng(53)
         pop, mmi = small_scenario(rng)
         eq, vm, ap = quake(), VelocityModel(), AlertParams()
-        bins = [MmiBin(6.0, 9.5)]
+        field = warning_field(eq, vm, mmi, pop, [MmiBin(6.0, 9.5)])
         base = warning_vs_n([result(300, i, delay=3.0 + 0.2 * i) for i in range(5)],
-                            eq, vm, ap, mmi, pop, bins)
+                            eq, ap, field)
         shifted = warning_vs_n([result(300, i, delay=4.0 + 0.2 * i) for i in range(5)],
-                               eq, vm, ap, mmi, pop, bins)
+                               eq, ap, field)
         for a, b in zip(base, shifted):
             assert b.value_s == pytest.approx(a.value_s - 1.0, abs=1e-9)
 
@@ -256,8 +308,8 @@ class TestWarningVsN:
         pop, mmi = small_scenario(rng)
         results = [result(300, i, delay=5.0 + 0.1 * i) for i in range(10)]
         results += [result(1200, i, delay=3.0 + 0.1 * i) for i in range(10)]
-        rows = warning_vs_n(results, quake(), VelocityModel(), AlertParams(), mmi, pop,
-                            [MmiBin(6.0, 9.5)])
+        field = warning_field(quake(), VelocityModel(), mmi, pop, [MmiBin(6.0, 9.5)])
+        rows = warning_vs_n(results, quake(), AlertParams(), field)
         means = {r.n: r.value_s for r in rows if r.stat == "mean"}
         assert means[1200] > means[300]
 
@@ -271,8 +323,9 @@ class TestWarningVsN:
         results = [result(n, i, delay=rng.uniform(2.0, 25.0)) for n in (300, 600)
                    for i in range(12)]
         results += [result(600, 12), result(900, 0)]
-        rows = warning_vs_n(results, eq, vm, ap, mmi, pop, bins)
-        want = warning_vs_n_oracle(results, eq, vm, ap, mmi, pop, bins)
+        field = warning_field(eq, vm, mmi, pop, bins)
+        rows = warning_vs_n(results, eq, ap, field)
+        want = warning_vs_n_oracle(results, eq, ap, field)
         assert [(r.n, r.bin, r.stat) for r in rows] == [(r.n, r.bin, r.stat) for r in want]
         for got, ref in zip(rows, want):
             for field in ("value_s", "band_lo_s", "band_hi_s"):

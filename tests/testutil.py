@@ -20,8 +20,7 @@ from eewsim.errors import (
 from eewsim.geo import _HEADER_KEYS, Grid, _as_text, _is_number, normalize_lon
 from eewsim.montecarlo import percentile, silverman_bandwidth_deg
 from eewsim.network import Catalog
-from eewsim.scenario import s_arrivals_s
-from eewsim.warning import WarningBand, _bin_selections, weighted_percentile
+from eewsim.warning import WarningBand, weighted_percentile
 
 
 def make_grid(values, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0) -> Grid:
@@ -255,15 +254,13 @@ def density_oracle(results, like: Grid, bandwidth_deg=None) -> tuple[np.ndarray,
     return dens / (dens.sum() * like.cell_area_deg2), float(h)
 
 
-def warning_vs_n_oracle(results, eq, vm, ap, mmi, pop, bins) -> list[WarningBand]:
+def warning_vs_n_oracle(results, eq, ap, field) -> list[WarningBand]:
     """Warning-vs-n rows with both weighted percentiles taken per replica.
 
     The straightforward form of ``warning_vs_n``, kept as its oracle: it
     builds every replica's warning times and sorts them afresh.
     """
-    lat2, lon2 = pop.center_mesh()
-    s_arr = s_arrivals_s(eq, vm, lat2, lon2)
-    per_bin = [(b, s_arr[sel], pop.values[sel]) for b, sel in _bin_selections(mmi, pop, bins)]
+    per_bin = list(zip(field.bins, field.s_arrivals, field.pops))
     times_by_n: dict[int, list[float]] = {}
     for r in results:
         times_by_n.setdefault(r.n, [])

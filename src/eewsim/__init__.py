@@ -5,7 +5,7 @@ geometries."""
 
 from .detection import Detection, DetectorParams, PhoneParams, Triggers, detect, detection_metrics, simulate_triggers
 from .geo import GeoPoint, Grid, MmiBin, exposure_histogram, haversine_km, parse_ascii_grid, sample_at
-from .montecarlo import DensityGrid, McSummary, RunResult, detection_density, percentile, run_campaign, run_replica
+from .montecarlo import DensityGrid, McSummary, detection_density, percentile, run_campaign, run_replica
 from .network import Catalog, Network, SeedSpec, load_catalog, sample_network, synth_catalog
 from .scenario import Earthquake, VelocityModel, hypocentral_km, p_arrival_s, s_arrival_s
 from .warning import AlertParams, WarningBand, WarningStats, warning_field, warning_stats, warning_vs_n, weighted_percentile
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlertParams", "Catalog", "Detection", "DensityGrid", "DetectorParams",
     "Earthquake", "GeoPoint", "Grid", "McSummary", "MmiBin",
-    "Network", "PhoneParams", "RunResult", "SeedSpec", "Triggers",
+    "Network", "PhoneParams", "SeedSpec", "Triggers",
     "VelocityModel", "WarningBand", "WarningStats",
     "detect", "detection_density", "detection_metrics", "exposure_histogram",
     "haversine_km", "hypocentral_km", "load_catalog", "p_arrival_s",

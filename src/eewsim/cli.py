@@ -24,6 +24,8 @@ from pathlib import Path
 from statistics import fmean
 from typing import Sequence
 
+import numpy as np
+
 from . import montecarlo, warning
 from .config import RunConfig, apply_overrides, load_config
 from .errors import ConfigError, EewsimError, NoDetections, NTooLarge
@@ -35,7 +37,7 @@ from .geo import (
     format_ascii_grid,
     parse_ascii_grid,
 )
-from .montecarlo import RunResult, read_runs_csv, run_campaign
+from .montecarlo import read_runs_csv, run_campaign
 from .network import Catalog, format_catalog, load_catalog, synth_catalog
 
 EXIT_OK = 0
@@ -90,7 +92,7 @@ class _Run:
                 ) from None
 
     @cached_property
-    def results(self) -> list[RunResult]:
+    def runs(self) -> np.recarray:
         path = self.cfg.out_dir / "runs.csv"
         if not path.is_file():
             raise ConfigError(f"runs.csv not found in {self.cfg.out_dir}; run simulate first")
@@ -157,43 +159,44 @@ def cmd_simulate(run: _Run) -> None:
         raise NTooLarge(
             f"n_grid contains {max(cfg.n_grid)} but the catalog holds only {len(cat)} points"
         )
-    summaries, run.results = run_campaign(
+    summaries, run.runs = run_campaign(
         cat, cfg.earthquake, cfg.velocity, cfg.phone, cfg.detector,
         cfg.n_grid, cfg.replicas, cfg.master_seed,
     )
     buf = io.StringIO()
-    montecarlo.write_runs_csv(buf, run.results)
+    montecarlo.write_runs_csv(buf, run.runs)
     run.write("runs.csv", buf.getvalue())
     buf = io.StringIO()
     montecarlo.write_summary_csv(buf, summaries)
     run.write("summary.csv", buf.getvalue())
 
     for n in cfg.n_grid:
-        subset = [r for r in run.results if r.n == n]
         try:
-            density = montecarlo.detection_density(subset, pop, cfg.density_bandwidth_deg)
+            density = montecarlo.detection_density(
+                run.runs[run.runs.n == n], pop, cfg.density_bandwidth_deg
+            )
         except NoDetections:
             run.say(f"n={n}: no detections, skipping density grid")
             continue
         run.write(f"density_n{n}.asc", format_ascii_grid(density.grid))
-    run.say(f"built runs.csv, summary.csv and density grids ({len(run.results)} replicas "
+    run.say(f"built runs.csv, summary.csv and density grids ({len(run.runs)} replicas "
             f"over {len(cfg.n_grid)} network sizes)")
 
 
 def cmd_warn(run: _Run) -> None:
     """Derive warning-time outputs from an existing runs.csv."""
-    cfg, results = run.cfg, run.results
+    cfg, runs = run.cfg, run.runs
     field = warning.warning_field(cfg.earthquake, cfg.velocity, run.mmi, run.pop, cfg.mmi_bins)
-    rows = warning.warning_vs_n(results, cfg.earthquake, cfg.alert, field)
+    rows = warning.warning_vs_n(runs, cfg.earthquake, cfg.alert, field)
     buf = io.StringIO()
     warning.write_warning_vs_n_csv(buf, rows)
     run.write("warning_vs_n.csv", buf.getvalue())
 
     # single-detection histograms at the mean detection time of the largest n
-    n_max = max({r.n for r in results})
-    delays = [r.delay_s for r in results if r.n == n_max and r.detected]
-    if delays:
-        time_s = cfg.earthquake.origin_time_s + fmean(delays)
+    n_max = int(runs.n.max())
+    delays = runs.delay_s[(runs.n == n_max) & runs.detected]
+    if delays.size:
+        time_s = cfg.earthquake.origin_time_s + fmean(delays.tolist())
         stats = warning.warning_stats(field, time_s, cfg.alert, cfg.hist_width_s)
     else:
         run.say(f"n={n_max}: no detections, writing empty warning_hist.csv")

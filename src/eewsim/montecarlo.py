@@ -18,27 +18,28 @@ import numpy as np
 
 from .detection import DetectorParams, PhoneParams, detect, detection_metrics, simulate_triggers
 from .errors import EmptyInput, KernelUnderflow, NoDetections
-from .geo import GeoPoint, Grid, cell_center
+from .geo import GeoPoint, Grid, cell_center, normalize_lon
 from .network import Catalog, SeedSpec, sample_network
 from .scenario import Earthquake, VelocityModel
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Outcome of a single replica."""
+RUNS_HEADER = "n,replica,detected,delay_s,distance_km,det_lat,det_lon"
 
-    n: int
-    replica: int
-    detected: bool
-    delay_s: float | None = None
-    distance_km: float | None = None
-    detection_location: GeoPoint | None = None
+# One record per replica, in (n-grid order, replica order); an undetected
+# replica holds NaN in the four metric fields.
+RUNS_DTYPE = np.dtype(
+    [("n", np.int64), ("replica", np.int64), ("detected", np.bool_), ("delay_s", np.float64),
+     ("distance_km", np.float64), ("lat", np.float64), ("lon", np.float64)],
+    align=True,
+)
+_UNDETECTED = (False, math.nan, math.nan, math.nan, math.nan)
 
-    def __post_init__(self):
-        if not self.detected and not (
-            self.delay_s is None and self.distance_km is None and self.detection_location is None
-        ):
-            raise ValueError("undetected replica must carry no metrics")
+
+def _runs(rows: list[tuple]) -> np.recarray:
+    """Read-only record array of ``RUNS_DTYPE`` rows."""
+    runs = np.rec.fromrecords(rows, dtype=RUNS_DTYPE)
+    runs.flags.writeable = False
+    return runs
 
 
 @dataclass(frozen=True)
@@ -87,41 +88,32 @@ def run_replica(
     n: int,
     replica: int,
     master_seed: int,
-) -> RunResult:
-    """Run one seeded replica end to end."""
+) -> tuple[float, float, float, float] | None:
+    """Run one seeded replica: (delay_s, distance_km, lat, lon), or None if nothing detects."""
     seed = SeedSpec(master_seed=master_seed, n=n, replica=replica)
     net = sample_network(cat, n, seed)
     triggers = simulate_triggers(net, eq, vm, pp, seed)
     det = detect(triggers, dp)
     if det is None:
-        return RunResult(n=n, replica=replica, detected=False)
-    delay_s, distance_km = detection_metrics(det, eq)
-    return RunResult(
-        n=n,
-        replica=replica,
-        detected=True,
-        delay_s=delay_s,
-        distance_km=distance_km,
-        detection_location=det.location,
-    )
+        return None
+    return (*detection_metrics(det, eq), det.location.lat, det.location.lon)
 
 
-def summarize(n: int, results: Sequence[RunResult]) -> McSummary:
+def summarize(n: int, runs: np.recarray) -> McSummary:
     """Fold one n's replicas into an McSummary (replica order independent)."""
-    detected = [r for r in results if r.detected]
-    rate = len(detected) / len(results) if results else 0.0
-    if not detected:
+    detected = runs[runs.detected]
+    rate = len(detected) / len(runs) if len(runs) else 0.0
+    if not len(detected):
         return McSummary(
-            n=n, replicas=len(results), detect_rate=rate,
+            n=n, replicas=len(runs), detect_rate=rate,
             delay_mean_s=None, delay_lo_s=None, delay_hi_s=None,
             dist_mean_km=None, dist_lo_km=None, dist_hi_km=None,
         )
-    detected.sort(key=lambda r: r.replica)
-    delays = [r.delay_s for r in detected]
-    dists = [r.distance_km for r in detected]
+    delays = detected.delay_s.tolist()
+    dists = detected.distance_km.tolist()
     return McSummary(
         n=n,
-        replicas=len(results),
+        replicas=len(runs),
         detect_rate=rate,
         delay_mean_s=fmean(delays),
         delay_lo_s=percentile(delays, 2.5),
@@ -141,26 +133,21 @@ def run_campaign(
     n_grid: Sequence[int],
     replicas: int,
     master_seed: int,
-) -> tuple[list[McSummary], list[RunResult]]:
-    """Run replicas for every n in the grid and summarize per n.
+) -> tuple[list[McSummary], np.recarray]:
+    """Run replicas for every n in the grid; return per-n summaries and the runs array.
 
     An n with zero detections yields a summary with rate 0 and absent
     statistics rather than failing the campaign.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    results = [
-        run_replica(cat, eq, vm, pp, dp, n, r, master_seed)
-        for n in n_grid for r in range(replicas)
-    ]
-    # deterministic fold in (n-grid order, replica order)
-    summaries = []
-    by_n: dict[int, list[RunResult]] = {}
-    for res in results:
-        by_n.setdefault(res.n, []).append(res)
+    rows = []
     for n in n_grid:
-        summaries.append(summarize(n, by_n[n]))
-    return summaries, results
+        for r in range(replicas):
+            metrics = run_replica(cat, eq, vm, pp, dp, n, r, master_seed)
+            rows.append((n, r, *_UNDETECTED) if metrics is None else (n, r, True, *metrics))
+    runs = _runs(rows)
+    return [summarize(n, runs[runs.n == n]) for n in n_grid], runs
 
 
 # --- detection-location density ----------------------------------------------
@@ -190,11 +177,11 @@ def silverman_bandwidth_deg(lats: np.ndarray, lons: np.ndarray) -> float:
 
 
 def detection_density(
-    results: Sequence[RunResult],
+    runs: np.recarray,
     like: Grid,
     bandwidth_deg: float | None = None,
 ) -> DensityGrid:
-    """Gaussian-kernel density of detection locations on the geometry of ``like``.
+    """Gaussian-kernel density of the detected replicas' locations on the geometry of ``like``.
 
     The isotropic kernel is separable: exp(-(dlat² + dlon²)·inv) is
     exp(-dlat²·inv) · exp(-dlon²·inv), so the m detections give two factor
@@ -215,11 +202,10 @@ def detection_density(
     The mode is the center of the maximum-density cell; ties resolve to the
     smallest row, then column.
     """
-    pts = [r.detection_location for r in results if r.detected]
-    if not pts:
+    detected = runs[runs.detected]
+    if not len(detected):
         raise NoDetections("no detected replica to estimate a density from")
-    lats = np.array([p.lat for p in pts])
-    lons = np.array([p.lon for p in pts])
+    lats, lons = detected.lat.copy(), detected.lon.copy()
 
     h = bandwidth_deg if bandwidth_deg is not None else silverman_bandwidth_deg(lats, lons)
     if not (math.isfinite(h) and h > 0):
@@ -251,52 +237,66 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else repr(float(x))
 
 
-def write_runs_csv(stream: IO[str], results: Sequence[RunResult]) -> None:
-    stream.write("n,replica,detected,delay_s,distance_km,det_lat,det_lon\n")
-    for r in results:
-        loc = r.detection_location
-        stream.write(
-            f"{r.n},{r.replica},{'true' if r.detected else 'false'},"
-            f"{_fmt(r.delay_s)},{_fmt(r.distance_km)},"
-            f"{_fmt(loc.lat if loc else None)},{_fmt(loc.lon if loc else None)}\n"
-        )
+def write_runs_csv(stream: IO[str], runs: np.recarray) -> None:
+    """One row per replica; an undetected row leaves its four metric fields empty."""
+    stream.write(RUNS_HEADER + "\n")
+    columns = (runs[name].tolist() for name in RUNS_DTYPE.names)
+    for n, replica, detected, *metrics in zip(*columns):
+        fields = f"true,{','.join(map(repr, metrics))}" if detected else "false,,,,"
+        stream.write(f"{n},{replica},{fields}\n")
 
 
-def read_runs_csv(stream: IO[str] | str) -> list[RunResult]:
-    """Parse a runs.csv produced by :func:`write_runs_csv`.
+def read_runs_csv(stream: IO[str] | str) -> np.recarray:
+    """Parse a runs.csv produced by :func:`write_runs_csv` into a runs array.
 
-    Raises ValueError on a file without data rows and on a detected row
-    whose delay, distance or location is not finite.
+    Blank lines are skipped, and line numbers count them. Raises ValueError
+    on a file without data rows, and, naming the line, on a row that does
+    not parse, an undetected row with a metric, a detected row whose delay,
+    distance or location is not finite, a latitude outside [-90, 90] and a
+    repeated (n, replica). Longitudes are wrapped into [-180, 180).
     """
     text = stream if isinstance(stream, str) else stream.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "n,replica,detected,delay_s,distance_km,det_lat,det_lon":
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != RUNS_HEADER:
         raise ValueError("not a runs.csv file (bad or missing header)")
     if len(lines) == 1:
         raise ValueError("runs.csv has no data rows")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        f = line.split(",")
-        if len(f) != 7 or f[2] not in ("true", "false"):
-            raise ValueError(f"runs.csv line {lineno}: cannot parse {line!r}")
-        detected = f[2] == "true"
-        delay_s = distance_km = location = None
-        if detected:
-            delay_s, distance_km, lat, lon = (float(x) for x in f[3:])
-            if not all(math.isfinite(x) for x in (delay_s, distance_km, lat, lon)):
-                raise ValueError(f"runs.csv line {lineno}: non-finite value in {line!r}")
-            location = GeoPoint(lat, lon)
-        out.append(
-            RunResult(
-                n=int(f[0]),
-                replica=int(f[1]),
-                detected=detected,
-                delay_s=delay_s,
-                distance_km=distance_km,
-                detection_location=location,
+    rows = []
+    first_line: dict[tuple[int, int], int] = {}
+    for lineno, line in lines[1:]:
+        try:
+            rows.append(_parse_run(line))
+        except ValueError as e:
+            raise ValueError(f"runs.csv line {lineno}: {e}") from None
+        key = rows[-1][:2]
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ValueError(
+                f"runs.csv line {lineno}: n={key[0]} replica={key[1]} repeats line {first_line[key]}"
             )
-        )
-    return out
+    return _runs(rows)
+
+
+def _parse_run(line: str) -> tuple:
+    f = line.split(",")
+    if len(f) != 7 or f[2] not in ("true", "false"):
+        raise ValueError(f"cannot parse {line!r}")
+    try:
+        n, replica = int(f[0]), int(f[1])
+        metrics = [float(x) for x in f[3:]] if f[2] == "true" else None
+    except ValueError:
+        raise ValueError(f"cannot parse {line!r}") from None
+    if not (1 <= n < 2**63 and 0 <= replica < 2**63):
+        raise ValueError(f"n or replica out of range in {line!r}")
+    if metrics is None:
+        if any(f[3:]):
+            raise ValueError(f"undetected row carries metrics in {line!r}")
+        return (n, replica, *_UNDETECTED)
+    delay_s, distance_km, lat, lon = metrics
+    if not all(math.isfinite(x) for x in metrics):
+        raise ValueError(f"non-finite value in {line!r}")
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude {lat} outside [-90, 90]")
+    return (n, replica, True, delay_s, distance_km, lat, normalize_lon(lon))
 
 
 def write_summary_csv(stream: IO[str], summaries: Sequence[McSummary]) -> None:

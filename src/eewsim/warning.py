@@ -22,7 +22,7 @@ import numpy as np
 from .detection import Detection
 from .errors import EmptyBins, EmptyInput, NoDetections
 from .geo import Grid, MmiBin, check_disjoint_bins, sample_values
-from .montecarlo import DensityGrid, RunResult, detection_density, percentile
+from .montecarlo import DensityGrid, detection_density, percentile
 from .scenario import Earthquake, VelocityModel, s_arrivals_s
 
 
@@ -179,7 +179,7 @@ def warning_stats(
 
 
 def warning_vs_n(
-    results: Sequence[RunResult],
+    runs: np.recarray,
     eq: Earthquake,
     ap: AlertParams,
     field: WarningField,
@@ -189,7 +189,8 @@ def warning_vs_n(
     For each detected replica the three warning statistics are computed
     with that replica's detection time; rows carry their mean over
     replicas plus empirical 2.5/97.5 percentile bands across replicas.
-    An n with no detections (or a bin with no population) yields rows with
+    The n values come in the order they first appear in ``runs``. An n
+    with no detections (or a bin with no population) yields rows with
     absent values.
 
     A replica's warning times are the bin's S arrivals shifted by one
@@ -197,19 +198,12 @@ def warning_vs_n(
     weighted percentiles pick the same cell for every replica: they are
     taken once per bin on the S arrivals and shifted per replica.
     """
-    n_order: list[int] = []
-    times_by_n: dict[int, list[float]] = {}
-    for r in results:
-        if r.n not in times_by_n:
-            n_order.append(r.n)
-            times_by_n[r.n] = []
-        if r.detected:
-            times_by_n[r.n].append(eq.origin_time_s + r.delay_s)
-
+    n_values, first = np.unique(runs.n, return_index=True)
+    n_order = n_values[np.argsort(first)].tolist()
     stats = ("p2_5", "mean", "p97_5")
     rows: list[WarningBand] = []
     for n in n_order:
-        times = times_by_n[n]
+        times = (eq.origin_time_s + runs.delay_s[(runs.n == n) & runs.detected]).tolist()
         for b, s_vals, pops in zip(field.bins, field.s_arrivals, field.pops):
             if not times or s_vals.size == 0:
                 for stat in stats:
@@ -237,7 +231,7 @@ def warning_vs_n(
 
 
 def mode_conditioned_detection(
-    results: Sequence[RunResult],
+    runs: np.recarray,
     n: int,
     eq: Earthquake,
     like: Grid,
@@ -249,12 +243,12 @@ def mode_conditioned_detection(
     detected replicas; the detection time is the replica-mean detection
     time.
     """
-    mine = [r for r in results if r.n == n]
-    detected = [r for r in mine if r.detected]
-    if not detected:
+    mine = runs[runs.n == n]
+    delays = mine.delay_s[mine.detected]
+    if not delays.size:
         raise NoDetections(f"no detected replica at n={n}")
     density = detection_density(mine, like, bandwidth_deg)
-    mean_time = eq.origin_time_s + fmean(r.delay_s for r in detected)
+    mean_time = eq.origin_time_s + fmean(delays.tolist())
     det = Detection(time_s=mean_time, location=density.mode, contributing=())
     return det, density
 

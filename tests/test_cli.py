@@ -11,6 +11,7 @@ import eewsim.warning
 from eewsim.cli import main
 from eewsim.errors import EewsimError
 from eewsim.geo import format_ascii_grid, parse_ascii_grid
+from eewsim.montecarlo import RUNS_HEADER
 from testutil import make_grid
 
 POP = """\
@@ -186,6 +187,23 @@ class TestWarn:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "runs.csv" in err
         assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]
+
+    @pytest.mark.parametrize("body, message", [
+        ("\n\n10,0,true,3.25,7.5,18.1\n", "line 4: cannot parse '10,0,true,3.25,7.5,18.1'"),
+        ("10,x,false,,,,\n", "line 2: cannot parse '10,x,false,,,,'"),
+        ("10,0,true,,1.5,18.3,-72.7\n", "line 2: cannot parse '10,0,true,,1.5,18.3,-72.7'"),
+        ("10,0,true,2.0,1.5,95,-72.7\n", "line 2: latitude 95.0 outside [-90, 90]"),
+        ("10,0,false,2.0,,,\n", "line 2: undetected row carries metrics in '10,0,false,2.0,,,'"),
+        ("10,0,false,,,,\n\n10,0,false,,,,\n", "line 4: n=10 replica=0 repeats line 2"),
+    ])
+    def test_bad_runs_row_names_file_and_line(self, rundir, capsys, body, message):
+        out = rundir / "out"
+        out.mkdir()
+        path = out / "runs.csv"
+        path.write_text(RUNS_HEADER + "\n" + body, encoding="utf-8")
+        assert run(rundir, "warn") == 2
+        assert capsys.readouterr().err == f"error: {path}: runs.csv {message}\n"
         assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]
 
     def test_outputs(self, rundir):

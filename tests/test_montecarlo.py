@@ -1,15 +1,18 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eewsim.detection import DetectorParams, PhoneParams
 from eewsim.errors import EmptyInput, NoDetections, NTooLarge
 from eewsim.geo import GeoPoint, cell_center
 from eewsim.montecarlo import (
     DensityGrid,
+    RUNS_HEADER,
     McSummary,
-    RunResult,
     detection_density,
     percentile,
     read_runs_csv,
@@ -21,7 +24,13 @@ from eewsim.montecarlo import (
 )
 from eewsim.network import Catalog
 from eewsim.scenario import Earthquake, VelocityModel
-from testutil import density_oracle, linear_percentile_oracle, make_grid
+from testutil import (
+    assert_runs_equal,
+    density_oracle,
+    linear_percentile_oracle,
+    make_grid,
+    runs_array,
+)
 
 
 def colocated_catalog(point, n):
@@ -75,21 +84,22 @@ class TestRunReplica:
     def test_fully_deterministic_composition(self):
         cat, eq, vm, pp, dp = deterministic_setup()
         res = run_replica(cat, eq, vm, pp, dp, n=3, replica=0, master_seed=1)
-        assert res.detected
-        assert res.delay_s == pytest.approx(1.0, abs=1e-12)
-        assert res.distance_km == 0.0
+        assert res is not None
+        delay_s, distance_km, lat, lon = res
+        assert delay_s == pytest.approx(1.0, abs=1e-12)
+        assert distance_km == 0.0
+        assert (lat, lon) == (18.0, -72.0)
 
     def test_p_detect_zero(self):
         cat, eq, vm, _, dp = deterministic_setup()
-        res = run_replica(cat, eq, vm, PhoneParams(p_detect=0.0), dp, 3, 0, 1)
-        assert not res.detected
-        assert res.delay_s is None and res.distance_km is None
+        assert run_replica(cat, eq, vm, PhoneParams(p_detect=0.0), dp, 3, 0, 1) is None
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         cat = Catalog(lats=rng.uniform(17, 20, 60), lons=rng.uniform(-74, -71, 60))
         eq = Earthquake(epicenter=GeoPoint(18.4, -72.5), depth_km=10.0)
         args = (cat, eq, VelocityModel(), PhoneParams(), DetectorParams(), 30, 4, 99)
+        assert run_replica(*args) is not None
         assert run_replica(*args) == run_replica(*args)
 
     def test_n_too_large_propagates(self):
@@ -107,6 +117,24 @@ class TestCampaign:
         assert s.delay_lo_s == s.delay_mean_s == s.delay_hi_s
         assert s.dist_lo_km == s.dist_mean_km == s.dist_hi_km
         assert len(results) == 20
+
+    def test_runs_array_rows_and_columns(self):
+        rng = np.random.default_rng(8)
+        cat = Catalog(lats=rng.uniform(17, 20, 200), lons=rng.uniform(-74, -71, 200))
+        eq = Earthquake(epicenter=GeoPoint(18.4, -72.5), depth_km=10.0)
+        args = (cat, eq, VelocityModel(), PhoneParams(p_detect=0.3), DetectorParams())
+        _, runs = run_campaign(*args, [8, 40], 6, 13)
+        assert not runs.flags.writeable
+        assert runs.n.tolist() == [8] * 6 + [40] * 6
+        assert runs.replica.tolist() == list(range(6)) * 2
+        assert 0 < runs.detected.sum() < len(runs)  # both kinds of row are checked
+        for n, replica, detected, *metrics in runs.tolist():
+            want = run_replica(*args, n, replica, 13)
+            assert detected == (want is not None)
+            if detected:
+                assert tuple(metrics) == want
+            else:
+                assert all(math.isnan(x) for x in metrics)
 
     def test_no_detections_summary(self):
         cat, eq, vm, _, dp = deterministic_setup()
@@ -173,22 +201,19 @@ class TestDetectionDensity:
         return make_grid(np.zeros((8, 10)), xll=-73.0, yll=18.0, cellsize=0.1)
 
     def detected(self, lat, lon, n=300, replica=0):
-        return RunResult(
-            n=n, replica=replica, detected=True, delay_s=3.0, distance_km=1.0,
-            detection_location=GeoPoint(lat, lon),
-        )
+        return (n, replica, (3.0, 1.0, lat, lon))
 
     def test_point_mass_mode(self):
-        results = [self.detected(18.55, -72.45, replica=i) for i in range(5)]
+        results = runs_array([self.detected(18.55, -72.45, replica=i) for i in range(5)])
         dg = detection_density(results, self.spec(), bandwidth_deg=0.05)
         assert dg.mode == GeoPoint(18.55, -72.45)
 
     def test_normalization(self):
         rng = np.random.default_rng(16)
-        results = [
+        results = runs_array([
             self.detected(rng.uniform(18.1, 18.7), rng.uniform(-72.9, -72.2), replica=i)
             for i in range(40)
-        ]
+        ])
         dg = detection_density(results, self.spec())
         mass = dg.grid.values.sum() * dg.grid.cell_area_deg2
         assert 0.999 <= mass <= 1.001
@@ -196,22 +221,22 @@ class TestDetectionDensity:
     def test_two_cluster_mode_in_heavy_cluster(self):
         results = [self.detected(18.25, -72.75, replica=i) for i in range(90)]
         results += [self.detected(18.65, -72.15, replica=90 + i) for i in range(10)]
-        dg = detection_density(results, self.spec(), bandwidth_deg=0.05)
+        dg = detection_density(runs_array(results), self.spec(), bandwidth_deg=0.05)
         assert dg.mode == GeoPoint(18.25, -72.75)
 
     def test_mode_tie_breaks_to_first_row_major_cell(self):
         # one detection exactly on a 4-cell corner: 4 equal-density cells
         spec = make_grid(np.zeros((4, 4)))
-        results = [self.detected(2.0, 2.0)]
+        results = runs_array([self.detected(2.0, 2.0)])
         dg = detection_density(results, spec, bandwidth_deg=0.7)
         assert dg.mode == cell_center(dg.grid, 1, 1)
 
     def test_mode_invariant_under_rescaling(self):
         rng = np.random.default_rng(18)
-        results = [
+        results = runs_array([
             self.detected(rng.uniform(18.1, 18.7), rng.uniform(-72.9, -72.2), replica=i)
             for i in range(25)
-        ]
+        ])
         a = detection_density(results, self.spec(), bandwidth_deg=0.08)
         b = detection_density(results, self.spec(), bandwidth_deg=0.08)
         assert a.mode == b.mode
@@ -219,12 +244,12 @@ class TestDetectionDensity:
         assert flat == np.argmax(a.grid.values * 1000.0)
 
     def test_no_detections(self):
-        undetected = RunResult(n=300, replica=0, detected=False)
+        undetected = runs_array([(300, 0, None)])
         with pytest.raises(NoDetections):
-            detection_density([undetected], self.spec())
+            detection_density(undetected, self.spec())
 
     def test_degenerate_bandwidth_falls_back(self):
-        results = [self.detected(18.55, -72.45)]
+        results = runs_array([self.detected(18.55, -72.45)])
         dg = detection_density(results, self.spec())
         assert dg.bandwidth_deg == self.spec().cellsize
 
@@ -242,7 +267,8 @@ class TestDetectionDensity:
             for i in range(m)
         ]
         results.append(self.detected(18.9, -72.0, replica=m))  # outside the grid
-        results.append(RunResult(n=300, replica=m + 1, detected=False))
+        results.append((300, m + 1, None))
+        results = runs_array(results)
         want, h = density_oracle(results, spec, bandwidth)
         dg = detection_density(results, spec, bandwidth)
         assert dg.bandwidth_deg == h
@@ -257,14 +283,41 @@ class TestDetectionDensity:
 
 class TestCsvRoundTrip:
     def test_runs_csv(self):
-        results = [
-            RunResult(n=10, replica=0, detected=True, delay_s=3.25, distance_km=7.5,
-                      detection_location=GeoPoint(18.123456789, -72.987654321)),
-            RunResult(n=10, replica=1, detected=False),
-        ]
+        runs = runs_array([
+            (10, 0, (3.25, 7.5, 18.123456789, -72.987654321)),
+            (10, 1, None),
+        ])
         buf = io.StringIO()
-        write_runs_csv(buf, results)
-        assert read_runs_csv(buf.getvalue()) == results
+        write_runs_csv(buf, runs)
+        assert buf.getvalue().splitlines()[1:] == [
+            "10,0,true,3.25,7.5,18.123456789,-72.987654321", "10,1,false,,,,",
+        ]
+        assert_runs_equal(read_runs_csv(buf.getvalue()), runs)
+
+    @given(st.lists(
+        st.tuples(
+            st.integers(1, 2**63 - 1),
+            st.integers(0, 2**63 - 1),
+            st.none() | st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(-90.0, 90.0),
+                st.floats(-180.0, 180.0, exclude_max=True),
+            ),
+        ),
+        min_size=1, max_size=20, unique_by=lambda row: row[:2],
+    ))
+    def test_runs_csv_round_trip_property(self, rows):
+        runs = runs_array(rows)
+        buf = io.StringIO()
+        write_runs_csv(buf, runs)
+        text = buf.getvalue()
+        back = read_runs_csv(text)
+        assert_runs_equal(back, runs)
+        assert not back.flags.writeable
+        again = io.StringIO()
+        write_runs_csv(again, back)
+        assert again.getvalue() == text
 
     def test_summary_csv_header_and_blanks(self):
         s = McSummary(n=5, replicas=3, detect_rate=0.0,
@@ -295,13 +348,39 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 2: non-finite"):
             read_runs_csv(text)
 
+    @pytest.mark.parametrize("body, match", [
+        # line numbers count blank lines
+        ("\n\n10,0,true,3.25,7.5,18.1\n", r"^runs.csv line 4: cannot parse '10,0,true,3.25,7.5,18.1'$"),
+        ("10,x,false,,,,\n", r"^runs.csv line 2: cannot parse '10,x,false,,,,'$"),
+        ("10,0,true,3.25,,18.1,-72.9\n", r"^runs.csv line 2: cannot parse '10,0,true,3.25,,18.1,-72.9'$"),
+        ("10,0,yes,,,,\n", r"^runs.csv line 2: cannot parse"),
+        ("\n10,0,true,3.25,7.5,95,-72.9\n", r"^runs.csv line 3: latitude 95.0 outside \[-90, 90\]$"),
+        ("0,0,false,,,,\n", r"^runs.csv line 2: n or replica out of range"),
+        ("10,-1,false,,,,\n", r"^runs.csv line 2: n or replica out of range"),
+        (f"{2**63},0,false,,,,\n", r"^runs.csv line 2: n or replica out of range"),
+        # the writer leaves every metric of an undetected row empty
+        ("10,0,false,,,,\n10,1,false,3.25,,,\n", r"^runs.csv line 3: undetected row carries"),
+        ("10,1,false,,,,-72.9\n", r"^runs.csv line 2: undetected row carries metrics"),
+        ("10,1,false, ,,,\n", r"^runs.csv line 2: undetected row carries metrics"),
+        # and writes each (n, replica) once
+        ("10,0,false,,,,\n10,1,false,,,,\n\n10,0,true,3.0,1.0,18.0,-72.0\n",
+         r"^runs.csv line 5: n=10 replica=0 repeats line 2$"),
+    ])
+    def test_rejected_row_names_its_line(self, body, match):
+        with pytest.raises(ValueError, match=match):
+            read_runs_csv(RUNS_HEADER + "\n" + body)
+
+    def test_same_replica_at_another_n_is_no_repeat(self):
+        runs = read_runs_csv(RUNS_HEADER + "\n10,0,false,,,,\n20,0,false,,,,\n")
+        assert runs.n.tolist() == [10, 20] and runs.replica.tolist() == [0, 0]
+
+    def test_longitude_wrapped(self):
+        runs = read_runs_csv(RUNS_HEADER + "\n10,0,true,3.0,1.0,18.0,190.0\n")
+        assert runs.lon.tolist() == [-170.0]
+
 
 class TestSummarize:
     def test_replica_order_independent(self):
-        results = [
-            RunResult(n=3, replica=i, detected=True, delay_s=float(i), distance_km=float(i),
-                      detection_location=GeoPoint(18, -72))
-            for i in range(10)
-        ]
+        results = runs_array([(3, i, (float(i), float(i), 18.0, -72.0)) for i in range(10)])
         forward = summarize(3, results)
-        assert summarize(3, list(reversed(results))) == forward
+        assert summarize(3, results[::-1]) == forward

@@ -6,7 +6,6 @@ import pytest
 from eewsim.detection import Detection
 from eewsim.errors import EmptyBins, EmptyInput, NoDetections
 from eewsim.geo import GeoPoint, MmiBin, cell_center
-from eewsim.montecarlo import RunResult
 from eewsim.scenario import Earthquake, VelocityModel, s_arrival_s
 from eewsim.warning import (
     AlertParams,
@@ -16,7 +15,7 @@ from eewsim.warning import (
     warning_vs_n,
     weighted_percentile,
 )
-from testutil import inv_cdf_percentile, make_grid, warning_vs_n_oracle
+from testutil import inv_cdf_percentile, make_grid, runs_array, warning_vs_n_oracle
 
 
 def detection(time_s=3.0, lat=18.4, lon=-72.5):
@@ -244,10 +243,7 @@ def small_scenario(rng):
 
 
 def result(n, replica, delay=None):
-    if delay is None:
-        return RunResult(n=n, replica=replica, detected=False)
-    return RunResult(n=n, replica=replica, detected=True, delay_s=delay, distance_km=1.0,
-                     detection_location=GeoPoint(18.4, -72.5))
+    return (n, replica, None if delay is None else (delay, 1.0, 18.4, -72.5))
 
 
 class TestWarningVsN:
@@ -259,7 +255,7 @@ class TestWarningVsN:
         bins = [MmiBin(6.0, 8.0), MmiBin(8.0, 9.5)]
         results = [result(300, 0, delay=4.5)]
         field = warning_field(eq, vm, mmi, pop, bins)
-        rows = warning_vs_n(results, eq, ap, field)
+        rows = warning_vs_n(runs_array(results), eq, ap, field)
         direct = warning_stats(field, eq.origin_time_s + 4.5, ap)
         by_key = {(r.bin, r.stat): r for r in rows}
         for ws in direct:
@@ -272,7 +268,7 @@ class TestWarningVsN:
         pop, mmi = small_scenario(rng)
         results = [result(300, i, delay=4.5) for i in range(10)]
         field = warning_field(quake(), VelocityModel(), mmi, pop, [MmiBin(6.0, 9.5)])
-        rows = warning_vs_n(results, quake(), AlertParams(), field)
+        rows = warning_vs_n(runs_array(results), quake(), AlertParams(), field)
         for r in rows:
             assert r.band_lo_s == r.value_s == r.band_hi_s
 
@@ -282,7 +278,7 @@ class TestWarningVsN:
         results = [result(300, 0), result(600, 0, delay=3.0)]
         bins = [MmiBin(6.0, 9.5), MmiBin(11.0, 12.0)]
         field = warning_field(quake(), VelocityModel(), mmi, pop, bins)
-        rows = warning_vs_n(results, quake(), AlertParams(), field)
+        rows = warning_vs_n(runs_array(results), quake(), AlertParams(), field)
         assert len(rows) == 2 * 2 * 3  # two n, two bins, three stats
         for r in rows:
             if r.n == 300 or r.bin == bins[1]:
@@ -295,10 +291,10 @@ class TestWarningVsN:
         pop, mmi = small_scenario(rng)
         eq, vm, ap = quake(), VelocityModel(), AlertParams()
         field = warning_field(eq, vm, mmi, pop, [MmiBin(6.0, 9.5)])
-        base = warning_vs_n([result(300, i, delay=3.0 + 0.2 * i) for i in range(5)],
-                            eq, ap, field)
-        shifted = warning_vs_n([result(300, i, delay=4.0 + 0.2 * i) for i in range(5)],
-                               eq, ap, field)
+        base = runs_array([result(300, i, delay=3.0 + 0.2 * i) for i in range(5)])
+        shifted = runs_array([result(300, i, delay=4.0 + 0.2 * i) for i in range(5)])
+        base = warning_vs_n(base, eq, ap, field)
+        shifted = warning_vs_n(shifted, eq, ap, field)
         for a, b in zip(base, shifted):
             assert b.value_s == pytest.approx(a.value_s - 1.0, abs=1e-9)
 
@@ -309,7 +305,7 @@ class TestWarningVsN:
         results = [result(300, i, delay=5.0 + 0.1 * i) for i in range(10)]
         results += [result(1200, i, delay=3.0 + 0.1 * i) for i in range(10)]
         field = warning_field(quake(), VelocityModel(), mmi, pop, [MmiBin(6.0, 9.5)])
-        rows = warning_vs_n(results, quake(), AlertParams(), field)
+        rows = warning_vs_n(runs_array(results), quake(), AlertParams(), field)
         means = {r.n: r.value_s for r in rows if r.stat == "mean"}
         assert means[1200] > means[300]
 
@@ -324,8 +320,8 @@ class TestWarningVsN:
                    for i in range(12)]
         results += [result(600, 12), result(900, 0)]
         field = warning_field(eq, vm, mmi, pop, bins)
-        rows = warning_vs_n(results, eq, ap, field)
-        want = warning_vs_n_oracle(results, eq, ap, field)
+        rows = warning_vs_n(runs_array(results), eq, ap, field)
+        want = warning_vs_n_oracle(runs_array(results), eq, ap, field)
         assert [(r.n, r.bin, r.stat) for r in rows] == [(r.n, r.bin, r.stat) for r in want]
         for got, ref in zip(rows, want):
             for field in ("value_s", "band_lo_s", "band_hi_s"):
@@ -342,11 +338,7 @@ class TestWarningVsN:
 class TestModeConditioned:
     def test_uses_density_mode_and_mean_time(self):
         spec = make_grid(np.zeros((10, 10)), xll=-73.0, yll=17.9, cellsize=0.12)
-        results = [
-            RunResult(n=300, replica=i, detected=True, delay_s=2.0 + i, distance_km=1.0,
-                      detection_location=GeoPoint(18.43, -72.49))
-            for i in range(3)
-        ]
+        results = runs_array([(300, i, (2.0 + i, 1.0, 18.43, -72.49)) for i in range(3)])
         det, density = mode_conditioned_detection(results, 300, quake(), spec, 0.05)
         assert det.time_s == pytest.approx(3.0)
         assert det.location == density.mode
@@ -354,6 +346,6 @@ class TestModeConditioned:
     def test_no_detections(self):
         with pytest.raises(NoDetections):
             mode_conditioned_detection(
-                [RunResult(n=300, replica=0, detected=False)], 300, quake(),
+                runs_array([(300, 0, None)]), 300, quake(),
                 make_grid(np.zeros((4, 4))),
             )

@@ -18,7 +18,7 @@ from eewsim.errors import (
     OutOfRangeCoordinate,
 )
 from eewsim.geo import _HEADER_KEYS, Grid, _as_text, _is_number, normalize_lon
-from eewsim.montecarlo import percentile, silverman_bandwidth_deg
+from eewsim.montecarlo import RUNS_DTYPE, _runs, percentile, silverman_bandwidth_deg
 from eewsim.network import Catalog
 from eewsim.warning import WarningBand, weighted_percentile
 
@@ -232,14 +232,31 @@ def linear_percentile_oracle(values, p) -> float:
     return float(np.percentile(np.asarray(values, dtype=float), p))
 
 
-def density_oracle(results, like: Grid, bandwidth_deg=None) -> tuple[np.ndarray, float]:
+def runs_array(rows) -> np.recarray:
+    """Read-only runs array from (n, replica, metrics) rows.
+
+    ``metrics`` is (delay_s, distance_km, lat, lon) for a detected replica
+    and None for an undetected one, which holds NaN in those fields.
+    """
+    undetected = (math.nan,) * 4
+    return _runs([(n, r, m is not None, *(undetected if m is None else m)) for n, r, m in rows])
+
+
+def assert_runs_equal(got: np.recarray, want: np.recarray) -> None:
+    """Same dtype and equal columns, NaN equal to NaN."""
+    assert got.dtype == want.dtype
+    for name in RUNS_DTYPE.names:
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def density_oracle(runs, like: Grid, bandwidth_deg=None) -> tuple[np.ndarray, float]:
     """Per-detection kernel sum: one exp per (detection, cell).
 
     The straightforward form of the detection-location density, kept as
     its oracle. Returns the normalized density array and the bandwidth.
     """
-    lats = np.array([r.detection_location.lat for r in results if r.detected])
-    lons = np.array([r.detection_location.lon for r in results if r.detected])
+    lats = runs.lat[runs.detected].copy()
+    lons = runs.lon[runs.detected].copy()
     h = bandwidth_deg if bandwidth_deg is not None else silverman_bandwidth_deg(lats, lons)
     if not (math.isfinite(h) and h > 0):
         h = like.cellsize
@@ -254,7 +271,7 @@ def density_oracle(results, like: Grid, bandwidth_deg=None) -> tuple[np.ndarray,
     return dens / (dens.sum() * like.cell_area_deg2), float(h)
 
 
-def warning_vs_n_oracle(results, eq, ap, field) -> list[WarningBand]:
+def warning_vs_n_oracle(runs, eq, ap, field) -> list[WarningBand]:
     """Warning-vs-n rows with both weighted percentiles taken per replica.
 
     The straightforward form of ``warning_vs_n``, kept as its oracle: it
@@ -262,10 +279,11 @@ def warning_vs_n_oracle(results, eq, ap, field) -> list[WarningBand]:
     """
     per_bin = list(zip(field.bins, field.s_arrivals, field.pops))
     times_by_n: dict[int, list[float]] = {}
-    for r in results:
-        times_by_n.setdefault(r.n, [])
-        if r.detected:
-            times_by_n[r.n].append(eq.origin_time_s + r.delay_s)
+    for n, detected, delay_s in zip(runs.n.tolist(), runs.detected.tolist(),
+                                    runs.delay_s.tolist()):
+        times_by_n.setdefault(n, [])
+        if detected:
+            times_by_n[n].append(eq.origin_time_s + delay_s)
     stats = ("p2_5", "mean", "p97_5")
     rows = []
     for n, times in times_by_n.items():

@@ -8,6 +8,7 @@ the config file. Unknown sections or keys are rejected so typos fail loud.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -210,16 +211,16 @@ def load_config(path: str | Path) -> RunConfig:
     raw_bins = r._raw("warning", "mmi_bins")
     mmi_bins = DEFAULT_MMI_BINS if raw_bins is None else _parse_bins(raw_bins, path)
     hist_width_s = r.get_float("warning", "hist_width_s", 1.0)
-    if not hist_width_s > 0:
-        raise ConfigError(f"{path}: [warning] hist_width_s must be > 0")
+    if not 0 < hist_width_s < math.inf:
+        raise ConfigError(f"{path}: [warning] hist_width_s must be finite and > 0")
 
     raw_bw = r._raw("density", "bandwidth_deg")
     if raw_bw is None or raw_bw.strip().lower() == "auto":
         bandwidth = None
     else:
         bandwidth = r.get_float("density", "bandwidth_deg")
-        if not bandwidth > 0:
-            raise ConfigError(f"{path}: [density] bandwidth_deg must be > 0 or 'auto'")
+        if not 0 < bandwidth < math.inf:
+            raise ConfigError(f"{path}: [density] bandwidth_deg must be finite and > 0, or 'auto'")
 
     out_dir = _path("output", "directory", required=False) or (base / "out")
 

@@ -49,9 +49,9 @@ class PhoneParams:
     def __post_init__(self):
         if not 0.0 <= self.p_detect <= 1.0:
             raise ValueError(f"p_detect must be in [0, 1], got {self.p_detect}")
-        if not 0.0 <= self.delay_lo_s <= self.delay_hi_s:
+        if not 0.0 <= self.delay_lo_s <= self.delay_hi_s < math.inf:
             raise ValueError(
-                f"need 0 <= delay_lo <= delay_hi, got [{self.delay_lo_s}, {self.delay_hi_s}]"
+                f"need 0 <= delay_lo <= delay_hi < inf, got [{self.delay_lo_s}, {self.delay_hi_s}]"
             )
 
 

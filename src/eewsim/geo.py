@@ -169,6 +169,18 @@ def _as_text(source: str | IO[str] | Iterable[str]) -> str:
     return "\n".join(source)
 
 
+def physical_lines(text: str) -> list[str]:
+    """The lines of ``text``, ended only by ``\\n``, ``\\r\\n`` or ``\\r``.
+
+    ``str.splitlines`` also ends lines at ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``,
+    ``\\x85``, ``\\u2028`` and ``\\u2029``, which would shift the line an
+    error names.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def parse_ascii_grid(source: str | IO[str] | Iterable[str]) -> Grid:
     """Parse an ESRI ASCII grid.
 
@@ -177,7 +189,7 @@ def parse_ascii_grid(source: str | IO[str] | Iterable[str]) -> Grid:
     by nrows * ncols whitespace-separated numbers with row 1 of the body
     being the northernmost row.
     """
-    lines = _as_text(source).splitlines()
+    lines = physical_lines(_as_text(source))
     header: dict[str, float] = {}
     body_start = 0
     for i, line in enumerate(lines):

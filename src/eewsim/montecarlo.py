@@ -18,7 +18,7 @@ import numpy as np
 
 from .detection import DetectorParams, PhoneParams, detect, detection_metrics, simulate_triggers
 from .errors import EmptyInput, KernelUnderflow, NoDetections
-from .geo import GeoPoint, Grid, cell_center, normalize_lon
+from .geo import GeoPoint, Grid, cell_center, normalize_lon, physical_lines
 from .network import Catalog, SeedSpec, sample_network
 from .scenario import Earthquake, VelocityModel
 
@@ -249,14 +249,16 @@ def write_runs_csv(stream: IO[str], runs: np.recarray) -> None:
 def read_runs_csv(stream: IO[str] | str) -> np.recarray:
     """Parse a runs.csv produced by :func:`write_runs_csv` into a runs array.
 
-    Blank lines are skipped, and line numbers count them. Raises ValueError
-    on a file without data rows, and, naming the line, on a row that does
-    not parse, an undetected row with a metric, a detected row whose delay,
-    distance or location is not finite, a latitude outside [-90, 90] and a
-    repeated (n, replica). Longitudes are wrapped into [-180, 180).
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``. Blank lines are skipped,
+    and line numbers count them. Raises ValueError on a file without data
+    rows, and, naming the line, on a row that does not parse or holds an
+    unprintable character (such as ``\\f``), an undetected row with a
+    metric, a detected row whose delay, distance or location is not
+    finite, a latitude outside [-90, 90] and a repeated (n, replica).
+    Longitudes are wrapped into [-180, 180).
     """
     text = stream if isinstance(stream, str) else stream.read()
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(physical_lines(text), start=1) if ln.strip()]
     if not lines or lines[0][1] != RUNS_HEADER:
         raise ValueError("not a runs.csv file (bad or missing header)")
     if len(lines) == 1:
@@ -278,7 +280,7 @@ def read_runs_csv(stream: IO[str] | str) -> np.recarray:
 
 def _parse_run(line: str) -> tuple:
     f = line.split(",")
-    if len(f) != 7 or f[2] not in ("true", "false"):
+    if len(f) != 7 or f[2] not in ("true", "false") or not line.isprintable():
         raise ValueError(f"cannot parse {line!r}")
     try:
         n, replica = int(f[0]), int(f[1])

@@ -40,9 +40,9 @@ class VelocityModel:
     v_s_km_s: float = DEFAULT_V_S_KM_S
 
     def __post_init__(self):
-        if not (self.v_p_km_s > self.v_s_km_s > 0):
+        if not (math.inf > self.v_p_km_s > self.v_s_km_s > 0):
             raise ValueError(
-                f"need v_p > v_s > 0, got v_p={self.v_p_km_s}, v_s={self.v_s_km_s}"
+                f"need inf > v_p > v_s > 0, got v_p={self.v_p_km_s}, v_s={self.v_s_km_s}"
             )
 
 

@@ -13,6 +13,7 @@ empirical quantile under equal weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import fmean
 from typing import IO, Sequence
@@ -33,10 +34,9 @@ class AlertParams:
     dissemination_latency_s: float = 0.0
 
     def __post_init__(self):
-        if not self.dissemination_latency_s >= 0:
-            raise ValueError(
-                f"dissemination latency must be >= 0, got {self.dissemination_latency_s}"
-            )
+        if not 0 <= self.dissemination_latency_s < math.inf:
+            raise ValueError("dissemination latency must be finite and >= 0, "
+                             f"got {self.dissemination_latency_s}")
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ def warning_stats(
     ``time_s`` is the alert's detection time. A bin with no cell that takes
     part yields population 0 and absent statistics.
     """
-    if not hist_width_s > 0:
-        raise ValueError(f"hist_width_s must be > 0, got {hist_width_s}")
+    if not 0 < hist_width_s < math.inf:
+        raise ValueError(f"hist_width_s must be finite and > 0, got {hist_width_s}")
     return [
         _bin_stats(b, s_vals - time_s - ap.dissemination_latency_s, pops, hist_width_s)
         for b, s_vals, pops in zip(field.bins, field.s_arrivals, field.pops)
@@ -195,38 +195,34 @@ def warning_vs_n(
 
     A replica's warning times are the bin's S arrivals shifted by one
     constant, -(t + latency). A shift keeps the order of the cells, so the
-    weighted percentiles pick the same cell for every replica: they are
-    taken once per bin on the S arrivals and shifted per replica.
+    weighted percentiles pick the same cell for every replica, and it
+    moves the weighted mean by the same constant. So each bin's three
+    statistics are taken once on the S arrivals and shifted per replica:
+    the percentiles bit for bit as if every cell were shifted, the mean
+    within rounding (a few ulp) of the weighted mean of shifted cells.
     """
     n_values, first = np.unique(runs.n, return_index=True)
     n_order = n_values[np.argsort(first)].tolist()
     stats = ("p2_5", "mean", "p97_5")
+    s_stats = [
+        None if s_vals.size == 0 else (
+            weighted_percentile(s_vals, pops, 2.5),
+            float(np.average(s_vals, weights=pops)),
+            weighted_percentile(s_vals, pops, 97.5),
+        )
+        for s_vals, pops in zip(field.s_arrivals, field.pops)
+    ]
     rows: list[WarningBand] = []
     for n in n_order:
-        times = (eq.origin_time_s + runs.delay_s[(runs.n == n) & runs.detected]).tolist()
-        for b, s_vals, pops in zip(field.bins, field.s_arrivals, field.pops):
-            if not times or s_vals.size == 0:
-                for stat in stats:
-                    rows.append(WarningBand(n, b, stat, None, None, None))
+        times = eq.origin_time_s + runs.delay_s[(runs.n == n) & runs.detected]
+        for b, consts in zip(field.bins, s_stats):
+            if not times.size or consts is None:
+                rows += [WarningBand(n, b, stat, None, None, None) for stat in stats]
                 continue
-            s_lo = weighted_percentile(s_vals, pops, 2.5)
-            s_hi = weighted_percentile(s_vals, pops, 97.5)
-            samples: dict[str, list[float]] = {stat: [] for stat in stats}
-            for t in times:
-                wv = s_vals - t - ap.dissemination_latency_s
-                samples["p2_5"].append(s_lo - t - ap.dissemination_latency_s)
-                samples["mean"].append(float(np.average(wv, weights=pops)))
-                samples["p97_5"].append(s_hi - t - ap.dissemination_latency_s)
-            for stat in stats:
-                vals = samples[stat]
-                rows.append(
-                    WarningBand(
-                        n=n, bin=b, stat=stat,
-                        value_s=fmean(vals),
-                        band_lo_s=percentile(vals, 2.5),
-                        band_hi_s=percentile(vals, 97.5),
-                    )
-                )
+            for stat, c in zip(stats, consts):
+                vals = (c - times - ap.dissemination_latency_s).tolist()
+                rows.append(WarningBand(n, b, stat, fmean(vals), percentile(vals, 2.5),
+                                        percentile(vals, 97.5)))
     return rows
 
 

@@ -457,6 +457,25 @@ class TestBadConfig:
         assert len(err) == 1
         assert err[0].startswith("error:") and "run.ini" in err[0] and "UTF-8" in err[0]
 
+    @pytest.mark.parametrize("section, key", [
+        ("phone", "delay_hi_s"),
+        ("warning", "hist_width_s"),
+        ("alert", "dissemination_latency_s"),
+        ("scenario", "v_p_km_s"),
+        ("density", "bandwidth_deg"),
+    ])
+    def test_infinite_parameter_exit_2(self, rundir, capsys, section, key):
+        # each once gave a traceback or wrote nan, -inf or instant-P outputs
+        header = f"[{section}]\n"
+        text = CONFIG if header in CONFIG else CONFIG + "\n" + header
+        (rundir / "run.ini").write_text(text.replace(header, f"{header}{key} = inf\n"),
+                                        encoding="utf-8")
+        assert run(rundir, "all") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "run.ini" in err[0]
+        assert not (rundir / "out").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "all"])
     def test_underflowed_kernel_exit_2(self, rundir, capsys, command):
         (rundir / "run.ini").write_text(CONFIG + "\n[density]\nbandwidth_deg = 1e-6\n",

@@ -33,7 +33,12 @@ from eewsim.geo import (
     sample_at,
     sample_values,
 )
-from testutil import format_ascii_grid_oracle, make_grid, parse_ascii_grid_oracle
+from testutil import (
+    LINE_BREAKS_NOT_NEWLINES,
+    format_ascii_grid_oracle,
+    make_grid,
+    parse_ascii_grid_oracle,
+)
 
 ASC_2X2 = """\
 ncols 2
@@ -191,6 +196,15 @@ class TestAsciiGrid:
         bad = ASC_2X2.replace("nrows 2", "nrows 2\nnrows 2")
         with pytest.raises(MalformedHeader):
             parse_ascii_grid(bad)
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS_NOT_NEWLINES)
+    def test_header_error_names_its_physical_line(self, brk):
+        # str.splitlines would end ncols's line at brk too and report line 5
+        text = ASC_2X2.replace("ncols 2", "ncols 2" + brk)
+        with pytest.raises(MalformedHeader, match=r"^header line 4: "):
+            parse_ascii_grid(text.replace("yllcorner 0.0", "yllcorner 0 0"))
+        # inside a line it still separates values
+        assert parse_ascii_grid(text.replace("1 2", "1" + brk + "2")) == parse_ascii_grid(ASC_2X2)
 
     def test_non_numeric_value(self):
         bad = ASC_2X2.replace("3 4", "3 x")

@@ -25,6 +25,7 @@ from eewsim.montecarlo import (
 from eewsim.network import Catalog
 from eewsim.scenario import Earthquake, VelocityModel
 from testutil import (
+    LINE_BREAKS_NOT_NEWLINES,
     assert_runs_equal,
     density_oracle,
     linear_percentile_oracle,
@@ -369,6 +370,18 @@ class TestCsvRoundTrip:
     def test_rejected_row_names_its_line(self, body, match):
         with pytest.raises(ValueError, match=match):
             read_runs_csv(RUNS_HEADER + "\n" + body)
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS_NOT_NEWLINES)
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lines_end_only_at_newlines(self, brk, newline):
+        # str.splitlines would end a line at brk as well, and so shift the
+        # line number of every later row or split a row in two
+        head = RUNS_HEADER + newline + "10,0,false,,,," + newline
+        with pytest.raises(ValueError, match=r"^runs.csv line 4: cannot parse '10,x,"):
+            read_runs_csv(head + brk + newline + "10,x,false,,,," + newline)
+        for row in ("10,1,false,,,," + brk, "10,1,true,3.0," + brk + "1.0,18.0,-72.0"):
+            with pytest.raises(ValueError, match=r"^runs.csv line 3: cannot parse '10,1,"):
+                read_runs_csv(head + row + newline)
 
     def test_same_replica_at_another_n_is_no_repeat(self):
         runs = read_runs_csv(RUNS_HEADER + "\n10,0,false,,,,\n20,0,false,,,,\n")

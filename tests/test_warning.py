@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eewsim.detection import Detection
 from eewsim.errors import EmptyBins, EmptyInput, NoDetections
@@ -16,6 +18,13 @@ from eewsim.warning import (
     weighted_percentile,
 )
 from testutil import inv_cdf_percentile, make_grid, runs_array, warning_vs_n_oracle
+
+# A mean row differs from the oracle's only by rounding. Each of the two
+# weighted means (np.average over at most 64 cells, summed pairwise in at
+# most 11 steps) rounds by under 24 eps times the largest magnitude it
+# averages, and the shift and the fmean over replicas add a few eps more,
+# so 64 eps of (max |S arrival| + max detection time + latency) bounds it.
+MEAN_EPS = 64 * np.finfo(np.float64).eps
 
 
 def detection(time_s=3.0, lat=18.4, lon=-72.5):
@@ -333,6 +342,71 @@ class TestWarningVsN:
         p2_5 = [r.band_lo_s for r in rows if r.stat == "p2_5" and r.value_s is not None]
         p97_5 = [r.band_hi_s for r in rows if r.stat == "p97_5" and r.value_s is not None]
         assert min(p2_5) < 0 < max(p97_5)
+
+
+@st.composite
+def warning_cases(draw):
+    """A field with one empty bin, and runs with repeated delays over a few n."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = nrows * ncols
+    # populations stay normal floats: a subnormal weight (5e-324) makes
+    # np.average lose its digits in both forms of the mean
+    pops = draw(st.lists(st.sampled_from([0.0, 1.0, 3.5]) | st.floats(1e-3, 1e4),
+                         min_size=cells, max_size=cells))
+    mmis = draw(st.lists(st.floats(6.0, 9.5), min_size=cells, max_size=cells))
+    cellsize = draw(st.floats(0.001, 0.5))
+    pop = make_grid(np.reshape(pops, (nrows, ncols)), xll=-73.0, yll=17.9, cellsize=cellsize)
+    mmi = make_grid(np.reshape(mmis, (nrows, ncols)), xll=-73.0, yll=17.9, cellsize=cellsize)
+    cut = draw(st.floats(6.0, 9.5, exclude_min=True, exclude_max=True))
+    bins = [MmiBin(6.0, cut, lo_open=False), MmiBin(cut, 9.5), MmiBin(11.0, 12.0)]
+    eq = quake(depth=draw(st.floats(0.0, 40.0)))
+    field = warning_field(eq, VelocityModel(), mmi, pop, bins)
+    pool = draw(st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.sampled_from([300, 600, 900]),
+                                    st.none() | st.sampled_from(pool)),
+                          min_size=1, max_size=15))
+    runs = runs_array([result(n, i, delay=d) for i, (n, d) in enumerate(picks)])
+    latency = draw(st.just(0.0) | st.floats(0.0, 10.0))
+    return eq, field, runs, AlertParams(latency)
+
+
+@given(warning_cases())
+def test_warning_vs_n_matches_oracle_by_shift_identity(case):
+    eq, field, runs, ap = case
+    rows = warning_vs_n(runs, eq, ap, field)
+    want = warning_vs_n_oracle(runs, eq, ap, field)
+    assert [(r.n, r.bin, r.stat) for r in rows] == [(r.n, r.bin, r.stat) for r in want]
+    s_max = max((float(np.abs(s).max()) for s in field.s_arrivals if s.size), default=0.0)
+    scale = s_max + float(np.nanmax(runs.delay_s, initial=0.0)) + ap.dissemination_latency_s
+    for got, ref in zip(rows, want):
+        for name in ("value_s", "band_lo_s", "band_hi_s"):
+            a, b = getattr(got, name), getattr(ref, name)
+            if got.stat == "mean" and a is not None and b is not None:
+                assert abs(a - b) <= MEAN_EPS * scale
+            else:
+                assert a == b
+
+
+@pytest.mark.parametrize("ns, replicas", [((300,), 1), ((300, 600, 900), 7)])
+def test_weighted_percentiles_run_once_per_bin(monkeypatch, ns, replicas):
+    rng = np.random.default_rng(59)
+    pop, mmi = small_scenario(rng)
+    bins = [MmiBin(6.0, 7.5), MmiBin(7.5, 9.5), MmiBin(11.0, 12.0)]
+    field = warning_field(quake(), VelocityModel(), mmi, pop, bins)
+    nonempty = sum(s.size > 0 for s in field.s_arrivals)
+    assert nonempty == 2
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return weighted_percentile(*args)
+
+    monkeypatch.setattr("eewsim.warning.weighted_percentile", counting)
+    runs = runs_array([result(n, i, delay=rng.uniform(2.0, 25.0))
+                       for n in ns for i in range(replicas)])
+    rows = warning_vs_n(runs, quake(), AlertParams(0.5), field)
+    assert len(rows) == len(ns) * len(bins) * 3
+    assert len(calls) == 2 * nonempty
 
 
 class TestModeConditioned:

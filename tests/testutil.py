@@ -23,6 +23,10 @@ from eewsim.network import Catalog
 from eewsim.warning import WarningBand, weighted_percentile
 
 
+# the characters besides \n and \r at which str.splitlines ends a line
+LINE_BREAKS_NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 def make_grid(values, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0) -> Grid:
     values = np.asarray(values, dtype=float)
     return Grid(
@@ -157,7 +161,7 @@ def parse_ascii_grid_oracle(source) -> Grid:
     one numpy str -> float64 cast of the tokens, which calls ``float`` on
     each, and a second pass with ``float`` to name a bad token.
     """
-    lines = _as_text(source).splitlines()
+    lines = _as_text(source).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     header: dict[str, float] = {}
     body_start = 0
     for i, line in enumerate(lines):

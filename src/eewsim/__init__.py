@@ -4,10 +4,10 @@ population-weighted warning-time distributions over random network
 geometries."""
 
 from .detection import Detection, DetectorParams, PhoneParams, Triggers, detect, detection_metrics, simulate_triggers
-from .geo import GeoPoint, Grid, MmiBin, exposure_histogram, haversine_km, parse_ascii_grid, sample_at
+from .geo import GeoPoint, Grid, MmiBin, exposure_histogram, haversine_km, parse_ascii_grid
 from .montecarlo import DensityGrid, McSummary, detection_density, percentile, run_campaign, run_replica
 from .network import Catalog, Network, SeedSpec, load_catalog, sample_network, synth_catalog
-from .scenario import Earthquake, VelocityModel, hypocentral_km, p_arrival_s, s_arrival_s
+from .scenario import Earthquake, VelocityModel
 from .warning import AlertParams, WarningBand, WarningStats, warning_field, warning_stats, warning_vs_n, weighted_percentile
 
 __version__ = "0.1.0"
@@ -18,9 +18,8 @@ __all__ = [
     "Network", "PhoneParams", "SeedSpec", "Triggers",
     "VelocityModel", "WarningBand", "WarningStats",
     "detect", "detection_density", "detection_metrics", "exposure_histogram",
-    "haversine_km", "hypocentral_km", "load_catalog", "p_arrival_s",
-    "parse_ascii_grid", "percentile", "run_campaign", "run_replica",
-    "s_arrival_s", "sample_at", "sample_network", "simulate_triggers",
+    "haversine_km", "load_catalog", "parse_ascii_grid", "percentile",
+    "run_campaign", "run_replica", "sample_network", "simulate_triggers",
     "synth_catalog", "warning_field", "warning_stats", "warning_vs_n",
     "weighted_percentile",
 ]

@@ -198,6 +198,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: [catalog] needs a path or a synth_n")
     if synth_n is not None and synth_n < 1:
         raise ConfigError(f"{path}: [catalog] synth_n must be >= 1")
+    synth_seed = r.get_int("catalog", "synth_seed", 0)
+    if synth_seed < 0:
+        raise ConfigError(f"{path}: [catalog] synth_seed must be >= 0")
 
     raw_n_grid = r._raw("campaign", "n_grid")
     n_grid = DEFAULT_N_GRID if raw_n_grid is None else _parse_n_grid(raw_n_grid, path)
@@ -234,7 +237,7 @@ def load_config(path: str | Path) -> RunConfig:
         mmi_grid=_path("inputs", "mmi_grid", required=True),
         catalog_path=catalog_path,
         synth_n=synth_n,
-        synth_seed=r.get_int("catalog", "synth_seed", 0),
+        synth_seed=synth_seed,
         n_grid=n_grid,
         replicas=replicas,
         master_seed=master_seed,

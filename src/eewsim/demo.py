@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +49,11 @@ _KM_PER_DEG = 111.195
 
 def build_population_grid() -> Grid:
     """Clustered population on a 0.02 degree raster, nodata offshore."""
-    ncols, nrows, cellsize = 150, 120, 0.02
-    xll, yll = -74.6, 17.8
-    lat = yll + (nrows - 1 - np.arange(nrows) + 0.5) * cellsize
-    lon = xll + (np.arange(ncols) + 0.5) * cellsize
-    lat2, lon2 = np.meshgrid(lat, lon, indexing="ij")
+    grid = Grid(ncols=150, nrows=120, xll=-74.6, yll=17.8, cellsize=0.02,
+                nodata=NODATA, values=np.zeros((120, 150)))
+    lat2, lon2 = grid.center_mesh()
 
-    pop = np.full((nrows, ncols), _RURAL_BASE)
+    pop = np.full(grid.values.shape, _RURAL_BASE)
     for clat, clon, sigma, peak in _CLUSTERS:
         d2 = (lat2 - clat) ** 2 + (lon2 - clon) ** 2
         pop += peak * np.exp(-d2 / (2.0 * sigma * sigma))
@@ -63,9 +62,7 @@ def build_population_grid() -> Grid:
         ((lat2 - _LAND_CENTER[0]) / _LAND_SEMI[0]) ** 2
         + ((lon2 - _LAND_CENTER[1]) / _LAND_SEMI[1]) ** 2
     ) <= 1.0
-    values = np.where(land, pop, NODATA)
-    return Grid(ncols=ncols, nrows=nrows, xll=xll, yll=yll,
-                cellsize=cellsize, nodata=NODATA, values=values)
+    return replace(grid, values=np.where(land, pop, NODATA))
 
 
 def build_mmi_grid() -> Grid:
@@ -75,11 +72,9 @@ def build_mmi_grid() -> Grid:
     azimuth, so equal intensities stretch along-strike, as observed fields
     do. Deliberately on a different geometry than the population raster.
     """
-    ncols, nrows, cellsize = 128, 104, 0.025
-    xll, yll = -74.7, 17.7
-    lat = yll + (nrows - 1 - np.arange(nrows) + 0.5) * cellsize
-    lon = xll + (np.arange(ncols) + 0.5) * cellsize
-    lat2, lon2 = np.meshgrid(lat, lon, indexing="ij")
+    grid = Grid(ncols=128, nrows=104, xll=-74.7, yll=17.7, cellsize=0.025,
+                nodata=NODATA, values=np.zeros((104, 128)))
+    lat2, lon2 = grid.center_mesh()
 
     dx = (lon2 - EPICENTER_LON) * _KM_PER_DEG * math.cos(math.radians(EPICENTER_LAT))
     dy = (lat2 - EPICENTER_LAT) * _KM_PER_DEG
@@ -87,9 +82,7 @@ def build_mmi_grid() -> Grid:
     along = dx * math.cos(theta) + dy * math.sin(theta)
     across = -dx * math.sin(theta) + dy * math.cos(theta)
     r_eff = np.sqrt(along**2 + (2.2 * across) ** 2)
-    mmi = np.clip(9.4 - 0.05 * r_eff, 1.0, 12.0)
-    return Grid(ncols=ncols, nrows=nrows, xll=xll, yll=yll,
-                cellsize=cellsize, nodata=NODATA, values=mmi)
+    return replace(grid, values=np.clip(9.4 - 0.05 * r_eff, 1.0, 12.0))
 
 
 _CONFIG_TEMPLATE = """\

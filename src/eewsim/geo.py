@@ -28,13 +28,21 @@ from .errors import (
 EARTH_RADIUS_KM = 6371.0
 
 
-def normalize_lon(lon: float) -> float:
-    """Wrap a longitude into [-180, 180), leaving in-range values untouched."""
-    if -180.0 <= lon < 180.0:
+def normalize_lon(lon):
+    """Wrap longitudes into [-180, 180), leaving in-range values untouched.
+
+    ``lon`` is a float or a float64 array, and comes back as the same kind.
+    Input that is all in range is returned as is, after one range test;
+    otherwise the out-of-range values of a copy are wrapped.
+    """
+    outside = (lon < -180.0) | (lon >= 180.0)
+    if outside is False or not np.any(outside):
         return lon
-    lon = (lon + 180.0) % 360.0 - 180.0
-    # (lon + 180) % 360 rounds up to 360 for lon just below -180
-    return -180.0 if lon == 180.0 else lon
+    out = np.array(lon, dtype=np.float64)
+    out[outside] = (out[outside] + 180.0) % 360.0 - 180.0
+    # (lon + 180) mod 360 rounds up to 360 for lon just below -180
+    out[out == 180.0] = -180.0
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -109,12 +117,24 @@ class Grid:
     def cell_area_deg2(self) -> float:
         return self.cellsize * self.cellsize
 
+    def row_lat(self, row, f=0.5):
+        """Latitude a fraction ``f`` of a cell north of row ``row``'s south edge.
+
+        f = 0.5 is the center. Works elementwise on arrays of rows and
+        fractions; row 0 is the northernmost row.
+        """
+        return self.yll + (self.nrows - 1 - row + f) * self.cellsize
+
+    def col_lon(self, col, f=0.5):
+        """Longitude a fraction ``f`` of a cell east of column ``col``'s west edge."""
+        return self.xll + (col + f) * self.cellsize
+
     def lat_centers(self) -> np.ndarray:
         """Per-row center latitudes, row 0 (north) first."""
-        return self.yll + (self.nrows - 1 - np.arange(self.nrows) + 0.5) * self.cellsize
+        return self.row_lat(np.arange(self.nrows))
 
     def lon_centers(self) -> np.ndarray:
-        return self.xll + (np.arange(self.ncols) + 0.5) * self.cellsize
+        return self.col_lon(np.arange(self.ncols))
 
     def center_mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """(lat, lon) arrays of shape (nrows, ncols) holding every cell center."""
@@ -122,10 +142,16 @@ class Grid:
 
 
 def check_population_grid(grid: Grid) -> Grid:
-    """Population rasters must carry non-negative counts."""
+    """Population rasters must carry non-negative counts, none subnormal.
+
+    A subnormal count (0 < p < 2**-1022) underflows in the products of a
+    population-weighted mean.
+    """
     data = grid.values[grid.mask]
     if data.size and data.min() < 0:
         raise ValueError("population grid holds negative values")
+    if ((data > 0) & (data < np.finfo(np.float64).tiny)).any():
+        raise ValueError("population grid holds subnormal values (0 < p < 2**-1022)")
     return grid
 
 
@@ -304,9 +330,7 @@ def cell_center(grid: Grid, row: int, col: int) -> GeoPoint:
         raise IndexOutOfRange(
             f"cell ({row}, {col}) outside {grid.nrows}x{grid.ncols} grid"
         )
-    lon = grid.xll + (col + 0.5) * grid.cellsize
-    lat = grid.yll + (grid.nrows - 1 - row + 0.5) * grid.cellsize
-    return GeoPoint(lat, lon)
+    return GeoPoint(grid.row_lat(row), grid.col_lon(col))
 
 
 def cell_indices(grid: Grid, lats, lons) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -335,14 +359,18 @@ def sample_values(grid: Grid, lats, lons) -> np.ndarray:
     return out
 
 
-def sample_at(grid: Grid, p: GeoPoint) -> float | None:
-    """Value of the cell containing ``p``; None if outside or nodata."""
-    col = math.floor((p.lon - grid.xll) / grid.cellsize)
-    row = math.floor((grid.yll + grid.nrows * grid.cellsize - p.lat) / grid.cellsize)
-    if not (0 <= row < grid.nrows and 0 <= col < grid.ncols):
-        return None
-    v = float(grid.values[row, col])
-    return None if v == grid.nodata else v
+def match_cells(pop: Grid, mmi: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Match every population cell to the intensity at its center.
+
+    Returns ``(lat2, lon2, mmi_at, matched)``, each of the population
+    grid's shape: the cell centers, the intensity sampled there (NaN
+    outside the intensity grid or on its nodata) and the mask of valid
+    population cells whose center got an intensity. The two grids need
+    not share geometry.
+    """
+    lat2, lon2 = pop.center_mesh()
+    mmi_at = sample_values(mmi, lat2, lon2)
+    return lat2, lon2, mmi_at, pop.mask & np.isfinite(mmi_at)
 
 
 # --- intensity bins and exposure --------------------------------------------
@@ -432,21 +460,16 @@ def exposure_histogram(
 ) -> ExposureResult:
     """Population exposed to each intensity bin.
 
-    Every valid population cell is matched to the intensity grid by
-    sampling the intensity at the population cell center (the grids need
-    not share geometry); cells falling outside the intensity grid or on a
-    nodata intensity cell are excluded.
+    Every valid population cell is matched to the intensity at its center
+    by :func:`match_cells`; cells falling outside the intensity grid or on
+    a nodata intensity cell are excluded.
     """
     if not bins:
         raise EmptyBins("exposure_histogram needs at least one bin")
     check_disjoint_bins(bins)
 
-    lat2, lon2 = pop.center_mesh()
-    valid_pop = pop.mask
-    pops = pop.values[valid_pop]
-    samples = sample_values(mmi, lat2[valid_pop], lon2[valid_pop])
-    matched = np.isfinite(samples)
-    pops = pops[matched]
+    _, _, samples, matched = match_cells(pop, mmi)
+    pops = pop.values[matched]
     samples = samples[matched]
 
     totals = tuple(float(pops[b.contains(samples)].sum()) for b in bins)

@@ -26,7 +26,7 @@ from .errors import (
     NZero,
     OutOfRangeCoordinate,
 )
-from .geo import GeoPoint, Grid, read_float_rows
+from .geo import Grid, normalize_lon, read_float_rows
 
 # substream tags; never reuse a value for a new purpose
 STREAM_NETWORK = 1
@@ -68,11 +68,7 @@ def _coord_arrays(lats, lons) -> tuple[np.ndarray, np.ndarray]:
         raise OutOfRangeCoordinate("non-finite coordinate in catalog")
     if lats.size and (lats.min() < -90.0 or lats.max() > 90.0):
         raise OutOfRangeCoordinate("latitude outside [-90, 90] in catalog")
-    out = (lons < -180.0) | (lons >= 180.0)
-    if out.any():
-        lons[out] = (lons[out] + 180.0) % 360.0 - 180.0
-        # (lon + 180) % 360 rounds up to 360 for lon just below -180
-        lons[lons == 180.0] = -180.0
+    lons = normalize_lon(lons)
     lats.setflags(write=False)
     lons.setflags(write=False)
     return lats, lons
@@ -95,9 +91,6 @@ class Catalog:
 
     def __len__(self) -> int:
         return int(self.lats.size)
-
-    def point(self, i: int) -> GeoPoint:
-        return GeoPoint(float(self.lats[i]), float(self.lons[i]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +205,8 @@ def synth_catalog(pop: Grid, n_points: int, seed: int) -> Catalog:
     rows, cols = np.divmod(flat, pop.ncols)
     u = rng.random(n_points)
     v = rng.random(n_points)
-    lons = pop.xll + (cols + u) * pop.cellsize
-    lats = pop.yll + (pop.nrows - 1 - rows + v) * pop.cellsize
-    return Catalog(lats=lats, lons=lons, source=f"synthetic(N={n_points}, seed={seed})")
+    return Catalog(lats=pop.row_lat(rows, v), lons=pop.col_lon(cols, u),
+                   source=f"synthetic(N={n_points}, seed={seed})")
 
 
 def sample_network(cat: Catalog, n: int, seed: SeedSpec) -> Network:

@@ -51,10 +51,6 @@ def hypocentral_km_points(eq: Earthquake, lats, lons) -> np.ndarray:
     return np.hypot(haversine_km_points(eq.epicenter, lats, lons), eq.depth_km)
 
 
-def hypocentral_km(eq: Earthquake, p: GeoPoint) -> float:
-    return float(hypocentral_km_points(eq, p.lat, p.lon))
-
-
 def p_arrivals_s(eq: Earthquake, vm: VelocityModel, lats, lons) -> np.ndarray:
     """P-wave arrival times (absolute, origin time included)."""
     return eq.origin_time_s + hypocentral_km_points(eq, lats, lons) / vm.v_p_km_s
@@ -63,11 +59,3 @@ def p_arrivals_s(eq: Earthquake, vm: VelocityModel, lats, lons) -> np.ndarray:
 def s_arrivals_s(eq: Earthquake, vm: VelocityModel, lats, lons) -> np.ndarray:
     """S-wave arrival times (absolute, origin time included)."""
     return eq.origin_time_s + hypocentral_km_points(eq, lats, lons) / vm.v_s_km_s
-
-
-def p_arrival_s(eq: Earthquake, vm: VelocityModel, p: GeoPoint) -> float:
-    return float(p_arrivals_s(eq, vm, p.lat, p.lon))
-
-
-def s_arrival_s(eq: Earthquake, vm: VelocityModel, p: GeoPoint) -> float:
-    return float(s_arrivals_s(eq, vm, p.lat, p.lon))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .detection import Detection
 from .errors import EmptyBins, EmptyInput, NoDetections
-from .geo import Grid, MmiBin, check_disjoint_bins, sample_values
+from .geo import Grid, MmiBin, check_disjoint_bins, match_cells
 from .montecarlo import DensityGrid, detection_density, percentile
 from .scenario import Earthquake, VelocityModel, s_arrivals_s
 
@@ -94,9 +94,9 @@ class WarningField:
     """S arrivals and populations of the cells in each intensity bin.
 
     A cell takes part when it has positive population and its center falls
-    on a valid cell of the intensity grid. Its warning time for an alert
-    raised at time t is its S arrival shifted by one constant:
-    w = s_arrival - t - dissemination_latency.
+    on a valid cell of the intensity grid (``geo.match_cells``). Its warning
+    time for an alert raised at time t is its S arrival shifted by one
+    constant: w = s_arrival - t - dissemination_latency.
     """
 
     bins: tuple[MmiBin, ...]
@@ -115,9 +115,8 @@ def warning_field(
     if not bins:
         raise EmptyBins("need at least one intensity bin")
     check_disjoint_bins(bins)
-    lat2, lon2 = pop.center_mesh()
-    samples = sample_values(mmi, lat2, lon2)
-    usable = pop.mask & (pop.values > 0) & np.isfinite(samples)
+    lat2, lon2, samples, matched = match_cells(pop, mmi)
+    usable = matched & (pop.values > 0)
     s_arr = s_arrivals_s(eq, vm, lat2, lon2)
     sels = [usable & b.contains(samples) for b in bins]
     return WarningField(

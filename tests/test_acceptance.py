@@ -24,7 +24,7 @@ from eewsim.detection import DetectorParams, PhoneParams, detect, simulate_trigg
 from eewsim.geo import GeoPoint, MmiBin, cell_center, parse_ascii_grid
 from eewsim.montecarlo import detection_density, run_campaign, run_replica
 from eewsim.network import Catalog, SeedSpec, sample_network
-from eewsim.scenario import Earthquake, p_arrivals_s, s_arrival_s
+from eewsim.scenario import Earthquake, p_arrivals_s
 from eewsim.warning import (
     AlertParams,
     mode_conditioned_detection,
@@ -33,7 +33,7 @@ from eewsim.warning import (
     warning_vs_n,
     weighted_percentile,
 )
-from testutil import detect_oracle, inv_cdf_percentile, make_grid, random_triggers
+from testutil import detect_oracle, inv_cdf_percentile, make_grid, random_triggers, s_arrival_s
 
 DEFAULT_BINS = (MmiBin(7.5, 8.0), MmiBin(8.0, 8.5), MmiBin(8.5, 9.0))
 

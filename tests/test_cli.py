@@ -252,13 +252,13 @@ class TestWarn:
     def test_samples_mmi_once(self, rundir, monkeypatch):
         assert run(rundir, "simulate") == 0
         calls = []
-        sample_values = eewsim.warning.sample_values
+        match_cells = eewsim.warning.match_cells
 
         def counting(*args):
             calls.append(args)
-            return sample_values(*args)
+            return match_cells(*args)
 
-        monkeypatch.setattr(eewsim.warning, "sample_values", counting)
+        monkeypatch.setattr(eewsim.warning, "match_cells", counting)
         assert run(rundir, "warn") == 0
         assert len(calls) == 1
 
@@ -432,6 +432,24 @@ class TestBadConfig:
         (rundir / "pop.asc").write_text(format_ascii_grid(bad), encoding="utf-8")
         assert run(rundir, "exposure") == 2
         assert "negative" in capsys.readouterr().err
+
+    def test_subnormal_population_rejected(self, rundir, capsys):
+        bad = make_grid([[5.0, 5e-324]], xll=-73.0, yll=18.0, cellsize=0.2)
+        (rundir / "pop.asc").write_text(format_ascii_grid(bad), encoding="utf-8")
+        assert run(rundir, "exposure") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "pop.asc" in err[0] and "subnormal" in err[0]
+        assert not (rundir / "out").exists()
+
+    def test_negative_synth_seed_exit_2(self, rundir, capsys):
+        (rundir / "run.ini").write_text(CONFIG.replace("synth_n = 40", "synth_n = 40\nsynth_seed = -1"),
+                                        encoding="utf-8")
+        assert run(rundir, "synth") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "synth_seed" in err[0]
+        assert not (rundir / "out").exists()
 
     def test_off_scale_mmi_rejected(self, rundir, capsys):
         bad = make_grid([[14.0]], xll=-73.0, yll=18.0, cellsize=0.2)

@@ -98,6 +98,13 @@ directory = results
         with pytest.raises(ConfigError, match="catalog"):
             load_config(write_config(tmp_path, text))
 
+    def test_negative_synth_seed_rejected(self, tmp_path):
+        text = MINIMAL.replace("synth_n = 100", "synth_n = 100\nsynth_seed = -1")
+        with pytest.raises(ConfigError, match=r"\[catalog\] synth_seed must be >= 0"):
+            load_config(write_config(tmp_path, text))
+        text = MINIMAL.replace("synth_n = 100", "synth_n = 100\nsynth_seed = 0")
+        assert load_config(write_config(tmp_path, text)).synth_seed == 0
+
     def test_overlapping_bins_rejected(self, tmp_path):
         text = MINIMAL + "\n[warning]\nmmi_bins = (6,8] (7,9]\n"
         with pytest.raises(ConfigError, match="overlap"):

@@ -14,8 +14,8 @@ from eewsim.detection import (
 from eewsim.errors import UnsortedInput
 from eewsim.geo import GeoPoint
 from eewsim.network import Catalog, Network, SeedSpec, sample_network
-from eewsim.scenario import Earthquake, VelocityModel, p_arrival_s, p_arrivals_s
-from testutil import detect_oracle, random_triggers, sorted_triggers
+from eewsim.scenario import Earthquake, VelocityModel, p_arrivals_s
+from testutil import detect_oracle, p_arrival_s, random_triggers, sorted_triggers
 
 
 def quake(depth=0.0, origin=0.0, lat=18.0, lon=-72.0):

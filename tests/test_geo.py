@@ -20,6 +20,7 @@ from eewsim.geo import (
     Grid,
     MmiBin,
     cell_center,
+    cell_indices,
     check_disjoint_bins,
     check_mmi_grid,
     check_population_grid,
@@ -30,14 +31,15 @@ from eewsim.geo import (
     normalize_lon,
     parse_ascii_grid,
     read_float_rows,
-    sample_at,
     sample_values,
 )
 from testutil import (
     LINE_BREAKS_NOT_NEWLINES,
     format_ascii_grid_oracle,
     make_grid,
+    normalize_lon_scalar,
     parse_ascii_grid_oracle,
+    sample_at,
 )
 
 ASC_2X2 = """\
@@ -106,6 +108,24 @@ class TestGeoPoint:
         assert -180.0 <= out < 180.0
         if -180.0 <= lon < 180.0:
             assert out == lon
+
+    def test_array_wrap_equals_scalar_rule(self):
+        # every double within 50,000 ulps of +-180 and +-540, and a wide spread
+        ulps = np.arange(-50_000, 50_001)
+        near = [(np.float64(c).view(np.int64) + ulps).view(np.float64)
+                for c in (-540.0, -180.0, 180.0, 540.0)]
+        spread = np.random.default_rng(3).uniform(-2000.0, 2000.0, size=20_000)
+        lons = np.concatenate([*near, spread])
+        want = np.array([normalize_lon_scalar(x) for x in lons.tolist()])
+        got = normalize_lon(lons)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        scalar = np.array([normalize_lon(x) for x in lons[::7].tolist()])
+        assert np.array_equal(scalar.view(np.uint64), want[::7].view(np.uint64))
+
+    def test_in_range_array_returned_as_is(self):
+        lons = np.array([-180.0, -72.5, 0.0, 179.99999999999997])
+        assert normalize_lon(lons) is lons
+        assert normalize_lon(np.array([])).size == 0
 
     def test_lat_out_of_range(self):
         with pytest.raises(OutOfRangeCoordinate):
@@ -273,6 +293,13 @@ class TestGridRoleChecks:
         with pytest.raises(ValueError):
             check_population_grid(make_grid([[1.0, -2.0]]))
 
+    def test_population_must_not_be_subnormal(self):
+        tiny = np.finfo(np.float64).tiny
+        check_population_grid(make_grid([[0.0, -0.0, tiny, -9999.0]]))
+        for v in (5e-324, np.nextafter(tiny, 0.0)):
+            with pytest.raises(ValueError, match="subnormal"):
+                check_population_grid(make_grid([[1.0, v]]))
+
     def test_mmi_must_stay_on_scale(self):
         check_mmi_grid(make_grid([[0.0, 12.0], [-9999.0, 7.5]]))
         with pytest.raises(ValueError):
@@ -294,31 +321,59 @@ class TestCellAddressing:
 
     def test_sample_at_center(self):
         g = make_grid([[1, 2], [3, 4]])
+        lat2, lon2 = g.center_mesh()
+        np.testing.assert_array_equal(sample_values(g, lat2, lon2), g.values)
         for row in range(2):
             for col in range(2):
                 p = cell_center(g, row, col)
-                assert sample_at(g, p) == g.values[row, col]
+                assert sample_values(g, p.lat, p.lon) == g.values[row, col]
 
     def test_sample_outside_is_none(self):
         g = make_grid([[1, 2], [3, 4]])
-        assert sample_at(g, GeoPoint(3.5, 0.5)) is None
-        assert sample_at(g, GeoPoint(0.5, -1.5)) is None
+        assert np.isnan(sample_values(g, [3.5, 0.5], [0.5, -1.5])).all()
 
     def test_sample_nodata_is_none(self):
         g = make_grid([[1, -9999], [3, 4]])
-        assert sample_at(g, GeoPoint(1.5, 1.5)) is None
+        assert np.isnan(sample_values(g, 1.5, 1.5))
 
     def test_edge_tie_breaks_toward_larger_index(self):
         g = make_grid([[1, 2], [3, 4]])
-        # vertical interior edge: eastern cell (larger col) wins
-        assert sample_at(g, GeoPoint(0.5, 1.0)) == 4.0
-        # horizontal interior edge: southern cell (larger row) wins
-        assert sample_at(g, GeoPoint(1.0, 0.5)) == 3.0
-        # outer south/east edges fall outside; north/west stay inside
-        assert sample_at(g, GeoPoint(0.0, 0.5)) is None
-        assert sample_at(g, GeoPoint(0.5, 2.0)) is None
-        assert sample_at(g, GeoPoint(2.0, 0.5)) == 1.0
-        assert sample_at(g, GeoPoint(0.5, 0.0)) == 3.0
+        cases = [
+            (0.5, 1.0, 4.0),  # vertical interior edge: eastern cell (larger col) wins
+            (1.0, 0.5, 3.0),  # horizontal interior edge: southern cell (larger row) wins
+            # outer south/east edges fall outside; north/west stay inside
+            (0.0, 0.5, math.nan),
+            (0.5, 2.0, math.nan),
+            (2.0, 0.5, 1.0),
+            (0.5, 0.0, 3.0),
+        ]
+        lats, lons, want = zip(*cases)
+        np.testing.assert_array_equal(sample_values(g, lats, lons), want)
+
+    @given(
+        nrows=st.integers(1, 30),
+        ncols=st.integers(1, 30),
+        xll=st.floats(-360.0, 360.0),
+        yll=st.floats(-90.0, 90.0),
+        cellsize=st.floats(1e-3, 5.0),
+        v=st.floats(0.01, 0.99),
+        u=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cell_points_map_back_to_their_cell(self, nrows, ncols, xll, yll, cellsize, v, u, seed):
+        g = Grid(ncols=ncols, nrows=nrows, xll=xll, yll=yll, cellsize=cellsize,
+                 nodata=-9999.0, values=np.zeros((nrows, ncols)))
+        rows, cols = np.indices((nrows, ncols))
+        per_cell = np.random.default_rng(seed).uniform(0.01, 0.99, size=(2, nrows, ncols))
+        # the centers, one fraction for all cells, and one fraction per cell
+        for fv, fu in ((0.5, 0.5), (v, u), tuple(per_cell)):
+            got_rows, got_cols, inside = cell_indices(g, g.row_lat(rows, fv), g.col_lon(cols, fu))
+            assert inside.all()
+            np.testing.assert_array_equal(got_rows, rows)
+            np.testing.assert_array_equal(got_cols, cols)
+        lat2, lon2 = g.center_mesh()
+        np.testing.assert_array_equal(lat2, g.row_lat(rows))
+        np.testing.assert_array_equal(lon2, g.col_lon(cols))
 
     def test_sample_values_matches_sample_at(self):
         rng = np.random.default_rng(5)

@@ -26,6 +26,7 @@ from eewsim.network import (
     synth_catalog,
 )
 from testutil import (
+    catalog_point,
     dense_sample_indices,
     load_catalog_oracle,
     make_grid,
@@ -37,9 +38,9 @@ class TestLoadCatalog:
     def test_file_order_preserved(self):
         cat = load_catalog("lat,lon\n10,20\n-5,30\n0,0\n")
         assert len(cat) == 3
-        assert cat.point(0) == GeoPoint(10, 20)
-        assert cat.point(1) == GeoPoint(-5, 30)
-        assert cat.point(2) == GeoPoint(0, 0)
+        assert catalog_point(cat, 0) == GeoPoint(10, 20)
+        assert catalog_point(cat, 1) == GeoPoint(-5, 30)
+        assert catalog_point(cat, 2) == GeoPoint(0, 0)
 
     def test_out_of_range_latitude(self):
         with pytest.raises(OutOfRangeCoordinate):
@@ -61,7 +62,7 @@ class TestLoadCatalog:
 
     def test_lon_normalized(self):
         cat = load_catalog("lat,lon\n0,190\n")
-        assert cat.point(0).lon == -170.0
+        assert catalog_point(cat, 0).lon == -170.0
 
     def test_round_trip(self):
         cat = load_catalog("lat,lon\n10.25,20.125\n-5.5,30.75\n")

@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from eewsim.geo import GeoPoint, haversine_km
-from eewsim.scenario import (
-    Earthquake,
-    VelocityModel,
-    hypocentral_km,
-    p_arrival_s,
-    p_arrivals_s,
-    s_arrival_s,
-    s_arrivals_s,
-)
+from eewsim.scenario import Earthquake, VelocityModel, p_arrivals_s, s_arrivals_s
+from testutil import hypocentral_km, p_arrival_s, s_arrival_s
 
 
 def quake(lat=18.0, lon=-72.0, depth=10.0, origin=0.0):

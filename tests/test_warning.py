@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from eewsim.detection import Detection
 from eewsim.errors import EmptyBins, EmptyInput, NoDetections
 from eewsim.geo import GeoPoint, MmiBin, cell_center
-from eewsim.scenario import Earthquake, VelocityModel, s_arrival_s
+from eewsim.scenario import Earthquake, VelocityModel
 from eewsim.warning import (
     AlertParams,
     mode_conditioned_detection,
@@ -17,7 +17,7 @@ from eewsim.warning import (
     warning_vs_n,
     weighted_percentile,
 )
-from testutil import inv_cdf_percentile, make_grid, runs_array, warning_vs_n_oracle
+from testutil import inv_cdf_percentile, make_grid, runs_array, s_arrival_s, warning_vs_n_oracle
 
 # A mean row differs from the oracle's only by rounding. Each of the two
 # weighted means (np.average over at most 64 cells, summed pairwise in at

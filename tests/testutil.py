@@ -17,9 +17,10 @@ from eewsim.errors import (
     NonFiniteValue,
     OutOfRangeCoordinate,
 )
-from eewsim.geo import _HEADER_KEYS, Grid, _as_text, _is_number, normalize_lon
+from eewsim.geo import _HEADER_KEYS, GeoPoint, Grid, _as_text, _is_number
 from eewsim.montecarlo import RUNS_DTYPE, _runs, percentile, silverman_bandwidth_deg
 from eewsim.network import Catalog
+from eewsim.scenario import hypocentral_km_points, p_arrivals_s, s_arrivals_s
 from eewsim.warning import WarningBand, weighted_percentile
 
 
@@ -33,6 +34,45 @@ def make_grid(values, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0) -> Grid:
         ncols=values.shape[1], nrows=values.shape[0],
         xll=xll, yll=yll, cellsize=cellsize, nodata=nodata, values=values,
     )
+
+
+def normalize_lon_scalar(lon: float) -> float:
+    """The longitude wrap in Python float arithmetic, kept as the oracle of ``normalize_lon``."""
+    if -180.0 <= lon < 180.0:
+        return lon
+    lon = (lon + 180.0) % 360.0 - 180.0
+    # (lon + 180) % 360 rounds up to 360 for lon just below -180
+    return -180.0 if lon == 180.0 else lon
+
+
+def sample_at(grid: Grid, p: GeoPoint) -> float | None:
+    """Value of the cell containing ``p``; None if outside or nodata.
+
+    The scalar form of ``sample_values``, kept as its oracle.
+    """
+    col = math.floor((p.lon - grid.xll) / grid.cellsize)
+    row = math.floor((grid.yll + grid.nrows * grid.cellsize - p.lat) / grid.cellsize)
+    if not (0 <= row < grid.nrows and 0 <= col < grid.ncols):
+        return None
+    v = float(grid.values[row, col])
+    return None if v == grid.nodata else v
+
+
+def catalog_point(cat: Catalog, i: int) -> GeoPoint:
+    return GeoPoint(float(cat.lats[i]), float(cat.lons[i]))
+
+
+# one-point forms of the scenario's array functions, kept as their oracles
+def hypocentral_km(eq, p: GeoPoint) -> float:
+    return float(hypocentral_km_points(eq, p.lat, p.lon))
+
+
+def p_arrival_s(eq, vm, p: GeoPoint) -> float:
+    return float(p_arrivals_s(eq, vm, p.lat, p.lon))
+
+
+def s_arrival_s(eq, vm, p: GeoPoint) -> float:
+    return float(s_arrivals_s(eq, vm, p.lat, p.lon))
 
 
 def _middle(sorted_vals):
@@ -150,7 +190,7 @@ def load_catalog_oracle(source, origin: str = "catalog") -> Catalog:
                 f"{origin} line {lineno}: latitude {lat} outside [-90, 90]"
             )
         lats[k] = lat
-        lons[k] = normalize_lon(lon)
+        lons[k] = normalize_lon_scalar(lon)
     return Catalog(lats=lats, lons=lons, source=origin)
 
 

@@ -15,7 +15,6 @@ between two ``os.replace`` calls is out of scope.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 import traceback
@@ -35,24 +34,16 @@ from .geo import (
     check_population_grid,
     exposure_histogram,
     format_ascii_grid,
+    format_csv,
     parse_ascii_grid,
+    read_input,
 )
 from .montecarlo import read_runs_csv, run_campaign
-from .network import Catalog, format_catalog, load_catalog, synth_catalog
+from .network import Catalog, load_catalog, synth_catalog
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
-
-
-def _load_grid(path: Path, what: str, check) -> Grid:
-    if not path.is_file():
-        raise ConfigError(f"{what} file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return check(parse_ascii_grid(fh))
-    except (EewsimError, ValueError) as e:
-        raise ConfigError(f"{path}: {e}") from None
 
 
 class _Run:
@@ -70,37 +61,23 @@ class _Run:
 
     @cached_property
     def pop(self) -> Grid:
-        return _load_grid(self.cfg.population_grid, "population grid", check_population_grid)
+        return read_input(self.cfg.population_grid, "population grid",
+                          lambda fh: check_population_grid(parse_ascii_grid(fh)))
 
     @cached_property
     def mmi(self) -> Grid:
-        return _load_grid(self.cfg.mmi_grid, "MMI grid", check_mmi_grid)
+        return read_input(self.cfg.mmi_grid, "MMI grid",
+                          lambda fh: check_mmi_grid(parse_ascii_grid(fh)))
 
     @cached_property
     def catalog(self) -> Catalog:
-        path = self.cfg.catalog_path
-        if path is None:
+        if self.cfg.catalog_path is None:
             return synth_catalog(self.pop, self.cfg.synth_n, self.cfg.synth_seed)
-        if not path.is_file():
-            raise ConfigError(f"catalog file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return load_catalog(fh, origin=str(path))
-            except UnicodeDecodeError as e:
-                raise ConfigError(
-                    f"{path}: not UTF-8 text (byte {e.object[e.start]:#x}: {e.reason})"
-                ) from None
+        return read_input(self.cfg.catalog_path, "catalog", load_catalog)
 
     @cached_property
     def runs(self) -> np.recarray:
-        path = self.cfg.out_dir / "runs.csv"
-        if not path.is_file():
-            raise ConfigError(f"runs.csv not found in {self.cfg.out_dir}; run simulate first")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return read_runs_csv(fh)
-            except ValueError as e:
-                raise ConfigError(f"{path}: {e}") from None
+        return read_input(self.cfg.out_dir / "runs.csv", "simulate output", read_runs_csv)
 
     def _temp(self, name: str) -> Path:
         return self.cfg.out_dir / f".{name}.tmp"
@@ -133,10 +110,10 @@ class _Run:
 def cmd_exposure(run: _Run) -> None:
     """Write exposure.csv: population per MMI bin plus the exceedance curve."""
     result = exposure_histogram(run.mmi, run.pop, run.cfg.mmi_bins)
-    lines = ["mmi_bin,population,exceedance_fraction"]
-    for b, p in zip(result.bins, result.populations):
-        lines.append(f'"{b}",{float(p)!r},{result.exceedance(b.lo)!r}')
-    run.write("exposure.csv", "\n".join(lines) + "\n")
+    run.write("exposure.csv", format_csv(
+        "mmi_bin,population,exceedance_fraction",
+        ((b, p, result.exceedance(b.lo)) for b, p in zip(result.bins, result.populations)),
+    ))
     run.say(f"built exposure.csv ({len(result.bins)} bins, matched population "
             f"{result.total_population:.0f})")
 
@@ -147,9 +124,9 @@ def cmd_synth(run: _Run) -> None:
     if cfg.synth_n is None:
         raise ConfigError("cmd synth needs a [catalog] synth_n in the config")
     # the CSV round trip is exact, so a later simulate takes this catalog as is
-    run.catalog = synth_catalog(run.pop, cfg.synth_n, cfg.synth_seed)
-    run.write("catalog.csv", format_catalog(run.catalog))
-    run.say(f"built catalog.csv ({len(run.catalog)} points)")
+    run.catalog = cat = synth_catalog(run.pop, cfg.synth_n, cfg.synth_seed)
+    run.write("catalog.csv", format_csv("lat,lon", zip(cat.lats.tolist(), cat.lons.tolist())))
+    run.say(f"built catalog.csv ({len(cat)} points)")
 
 
 def cmd_simulate(run: _Run) -> None:
@@ -163,12 +140,8 @@ def cmd_simulate(run: _Run) -> None:
         cat, cfg.earthquake, cfg.velocity, cfg.phone, cfg.detector,
         cfg.n_grid, cfg.replicas, cfg.master_seed,
     )
-    buf = io.StringIO()
-    montecarlo.write_runs_csv(buf, run.runs)
-    run.write("runs.csv", buf.getvalue())
-    buf = io.StringIO()
-    montecarlo.write_summary_csv(buf, summaries)
-    run.write("summary.csv", buf.getvalue())
+    run.write("runs.csv", montecarlo.write_runs_csv(run.runs))
+    run.write("summary.csv", montecarlo.write_summary_csv(summaries))
 
     for n in cfg.n_grid:
         try:
@@ -188,24 +161,18 @@ def cmd_warn(run: _Run) -> None:
     cfg, runs = run.cfg, run.runs
     field = warning.warning_field(cfg.earthquake, cfg.velocity, run.mmi, run.pop, cfg.mmi_bins)
     rows = warning.warning_vs_n(runs, cfg.earthquake, cfg.alert, field)
-    buf = io.StringIO()
-    warning.write_warning_vs_n_csv(buf, rows)
-    run.write("warning_vs_n.csv", buf.getvalue())
+    run.write("warning_vs_n.csv", warning.write_warning_vs_n_csv(rows))
 
     # single-detection histograms at the mean detection time of the largest n
     n_max = int(runs.n.max())
     delays = runs.delay_s[(runs.n == n_max) & runs.detected]
     if delays.size:
         time_s = cfg.earthquake.origin_time_s + fmean(delays.tolist())
-        stats = warning.warning_stats(field, time_s, cfg.alert, cfg.hist_width_s)
     else:
+        time_s = None
         run.say(f"n={n_max}: no detections, writing empty warning_hist.csv")
-        stats = [
-            warning.WarningStats(b, 0.0, None, None, None, ()) for b in cfg.mmi_bins
-        ]
-    buf = io.StringIO()
-    warning.write_warning_hist_csv(buf, stats)
-    run.write("warning_hist.csv", buf.getvalue())
+    stats = warning.warning_stats(field, time_s, cfg.alert, cfg.hist_width_s)
+    run.write("warning_hist.csv", warning.write_warning_hist_csv(stats))
     run.say("built warning_vs_n.csv and warning_hist.csv")
 
 

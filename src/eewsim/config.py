@@ -16,7 +16,7 @@ from configparser import ConfigParser, Error as ConfigParserError
 
 from .detection import DetectorParams, PhoneParams
 from .errors import ConfigError
-from .geo import DEFAULT_MMI_BINS, GeoPoint, MmiBin, check_disjoint_bins
+from .geo import DEFAULT_MMI_BINS, GeoPoint, MmiBin, check_disjoint_bins, read_input
 from .scenario import Earthquake, VelocityModel
 from .warning import AlertParams
 
@@ -129,18 +129,11 @@ def _parse_bins(raw: str, path: Path) -> tuple[MmiBin, ...]:
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     parser = ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
+        read_input(path, "config", lambda fh: parser.read_file(fh, source=str(path)))
     except ConfigParserError as e:
         raise ConfigError(f"{path}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise ConfigError(
-            f"{path}: not UTF-8 text (byte {e.object[e.start]:#x}: {e.reason})"
-        ) from None
 
     for section in parser.sections():
         if section not in _KNOWN_KEYS:

@@ -1,4 +1,5 @@
-"""Geodesy primitives, regular lat/lon rasters and population exposure.
+"""Geodesy primitives, regular lat/lon rasters, population exposure, and
+the one path each for reading an input file and writing a CSV.
 
 Grids follow the ESRI ASCII layout: a regular cell matrix anchored at the
 lower-left corner, stored row-major with row 0 as the northernmost row.
@@ -12,12 +13,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from pathlib import Path
+from typing import IO, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
+    EewsimError,
     EmptyBins,
     IndexOutOfRange,
     MalformedHeader,
@@ -26,6 +30,8 @@ from .errors import (
 )
 
 EARTH_RADIUS_KM = 6371.0
+
+T = TypeVar("T")
 
 
 def normalize_lon(lon):
@@ -205,6 +211,51 @@ def physical_lines(text: str) -> list[str]:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.split("\n")
+
+
+def read_input(path: Path, what: str, parse: Callable[[IO[str]], T]) -> T:
+    """``parse`` applied to the UTF-8 text file at ``path``.
+
+    Every failure is a ConfigError that names the file once: a missing
+    file (``<what> file not found: <path>``), a byte that is not UTF-8
+    (``<path>: not UTF-8 text (byte 0x..: reason)``), and any EewsimError
+    or ValueError that ``parse`` raises, prefixed with ``<path>: ``.
+    """
+    if not path.is_file():
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except UnicodeDecodeError as e:
+        raise ConfigError(
+            f"{path}: not UTF-8 text (byte {e.object[e.start]:#x}: {e.reason})"
+        ) from None
+    except (EewsimError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
+def _csv_field(x) -> str:
+    if isinstance(x, float):  # first: floats are nearly every field written
+        return float.__repr__(x)
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    s = str(x)
+    return f'"{s}"' if "," in s else s
+
+
+def format_csv(header: str, rows: Iterable[Sequence]) -> str:
+    """CSV text: ``header``, then one line per row, each ended by ``\\n``.
+
+    Every field is written by one rule: a float as its round-trip repr,
+    None as an empty field, a bool as ``true`` or ``false``, anything else
+    by ``str``, in double quotes when that holds a comma, as every MMI bin
+    label does (``(7.5,8]``). No field may hold a double quote or newline.
+    """
+    lines = [header]
+    lines += [",".join(map(_csv_field, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def parse_ascii_grid(source: str | IO[str] | Iterable[str]) -> Grid:
@@ -397,9 +448,14 @@ class MmiBin:
         return above & below
 
     def __str__(self):
+        """Interval notation that :meth:`parse` reads back to an equal bin.
+
+        An edge is written with ``:g`` (``8``) where that keeps its value,
+        else with ``repr``, as ``:g`` keeps only 6 significant digits.
+        """
         lo_b = "(" if self.lo_open else "["
         hi_b = ")" if self.hi_open else "]"
-        return f"{lo_b}{self.lo:g},{self.hi:g}{hi_b}"
+        return f"{lo_b}{_edge(self.lo)},{_edge(self.hi)}{hi_b}"
 
     @classmethod
     def parse(cls, text: str) -> "MmiBin":
@@ -415,6 +471,11 @@ class MmiBin:
         except ValueError:
             raise ValueError(f"cannot parse intensity bin {text!r}") from None
         return cls(lo=lo, hi=hi, lo_open=s[0] == "(", hi_open=s[-1] == ")")
+
+
+def _edge(x: float) -> str:
+    s = f"{x:g}"
+    return s if float(s) == x else repr(x)
 
 
 DEFAULT_MMI_BINS = (

@@ -10,7 +10,7 @@ empirical 95% bands plus a kernel density of the detection locations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from statistics import fmean
 from typing import IO, Iterable, Sequence
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .detection import DetectorParams, PhoneParams, detect, detection_metrics, simulate_triggers
 from .errors import EmptyInput, KernelUnderflow, NoDetections
-from .geo import GeoPoint, Grid, cell_center, normalize_lon, physical_lines
+from .geo import GeoPoint, Grid, cell_center, format_csv, normalize_lon, physical_lines
 from .network import Catalog, SeedSpec, sample_network
 from .scenario import Earthquake, VelocityModel
 
@@ -233,17 +233,11 @@ def detection_density(
 
 # --- CSV emission --------------------------------------------------------------
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else repr(float(x))
-
-
-def write_runs_csv(stream: IO[str], runs: np.recarray) -> None:
+def write_runs_csv(runs: np.recarray) -> str:
     """One row per replica; an undetected row leaves its four metric fields empty."""
-    stream.write(RUNS_HEADER + "\n")
     columns = (runs[name].tolist() for name in RUNS_DTYPE.names)
-    for n, replica, detected, *metrics in zip(*columns):
-        fields = f"true,{','.join(map(repr, metrics))}" if detected else "false,,,,"
-        stream.write(f"{n},{replica},{fields}\n")
+    rows = (row if row[2] else (*row[:3], None, None, None, None) for row in zip(*columns))
+    return format_csv(RUNS_HEADER, rows)
 
 
 def read_runs_csv(stream: IO[str] | str) -> np.recarray:
@@ -301,14 +295,6 @@ def _parse_run(line: str) -> tuple:
     return (n, replica, True, delay_s, distance_km, lat, normalize_lon(lon))
 
 
-def write_summary_csv(stream: IO[str], summaries: Sequence[McSummary]) -> None:
-    stream.write(
-        "n,replicas,detect_rate,delay_mean_s,delay_lo_s,delay_hi_s,"
-        "dist_mean_km,dist_lo_km,dist_hi_km\n"
-    )
-    for s in summaries:
-        stream.write(
-            f"{s.n},{s.replicas},{repr(s.detect_rate)},"
-            f"{_fmt(s.delay_mean_s)},{_fmt(s.delay_lo_s)},{_fmt(s.delay_hi_s)},"
-            f"{_fmt(s.dist_mean_km)},{_fmt(s.dist_lo_km)},{_fmt(s.dist_hi_km)}\n"
-        )
+def write_summary_csv(summaries: Sequence[McSummary]) -> str:
+    """One row per n, its fields in McSummary order; absent statistics are empty."""
+    return format_csv(",".join(f.name for f in fields(McSummary)), map(astuple, summaries))

@@ -176,14 +176,6 @@ def _parse_lines(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray
     return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
-def format_catalog(cat: Catalog) -> str:
-    """Serialize a catalog to CSV with full round-trip float precision."""
-    out = ["lat,lon"]
-    for la, lo in zip(cat.lats.tolist(), cat.lons.tolist()):
-        out.append(f"{la!r},{lo!r}")
-    return "\n".join(out) + "\n"
-
-
 # --- catalog synthesis and network sampling ----------------------------------
 
 def synth_catalog(pop: Grid, n_points: int, seed: int) -> Catalog:

@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import fmean
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .detection import Detection
 from .errors import EmptyBins, EmptyInput, NoDetections
-from .geo import Grid, MmiBin, check_disjoint_bins, match_cells
+from .geo import Grid, MmiBin, check_disjoint_bins, format_csv, match_cells
 from .montecarlo import DensityGrid, detection_density, percentile
 from .scenario import Earthquake, VelocityModel, s_arrivals_s
 
@@ -117,11 +117,13 @@ def warning_field(
     check_disjoint_bins(bins)
     lat2, lon2, samples, matched = match_cells(pop, mmi)
     usable = matched & (pop.values > 0)
-    s_arr = s_arrivals_s(eq, vm, lat2, lon2)
     sels = [usable & b.contains(samples) for b in bins]
+    # S arrivals only where some bin keeps the cell, in row-major order
+    keep = np.logical_or.reduce(sels)
+    s_arr = s_arrivals_s(eq, vm, lat2[keep], lon2[keep])
     return WarningField(
         bins=tuple(bins),
-        s_arrivals=tuple(s_arr[sel] for sel in sels),
+        s_arrivals=tuple(s_arr[sel[keep]] for sel in sels),
         pops=tuple(pop.values[sel] for sel in sels),
     )
 
@@ -136,45 +138,57 @@ def _histogram(w: np.ndarray, pops: np.ndarray, width: float) -> tuple[tuple[flo
     k_min = int(k.min())
     counts = np.bincount(k - k_min, weights=pops)
     return tuple(
-        ((k_min + i) * width, (k_min + i + 1) * width, float(c))
+        (float((k_min + i) * width), float((k_min + i + 1) * width), float(c))
         for i, c in enumerate(counts.tolist())
     )
 
 
-def _bin_stats(bin_: MmiBin, w: np.ndarray, pops: np.ndarray, hist_width_s: float) -> WarningStats:
-    if w.size == 0:
-        return WarningStats(
-            bin=bin_, population=0.0, p2_5_s=None, mean_s=None, p97_5_s=None, histogram=(),
+def _s_stats(field: WarningField) -> list[tuple[float, float, float] | None]:
+    """Per bin, the weighted p2.5, mean and p97.5 of its S arrivals; None for an empty bin.
+
+    A warning time is the S arrival shifted by one constant, -(t + latency).
+    A shift keeps the order of the cells, so the weighted percentiles pick
+    the same cell as they would among shifted cells, and it moves the
+    weighted mean by the same constant. So the three statistics are taken
+    once and shifted per alert time: the percentiles bit for bit as if
+    every cell were shifted, the mean within rounding (a few ulp) of the
+    weighted mean of shifted cells.
+    """
+    return [
+        None if s_vals.size == 0 else (
+            weighted_percentile(s_vals, pops, 2.5),
+            float(np.average(s_vals, weights=pops)),
+            weighted_percentile(s_vals, pops, 97.5),
         )
-    hist = _histogram(w, pops, hist_width_s)
-    population = float(sum(h[2] for h in hist))
-    return WarningStats(
-        bin=bin_,
-        population=population,
-        p2_5_s=weighted_percentile(w, pops, 2.5),
-        mean_s=float(np.average(w, weights=pops)),
-        p97_5_s=weighted_percentile(w, pops, 97.5),
-        histogram=hist,
-    )
+        for s_vals, pops in zip(field.s_arrivals, field.pops)
+    ]
 
 
 def warning_stats(
     field: WarningField,
-    time_s: float,
+    time_s: float | None,
     ap: AlertParams,
     hist_width_s: float = 1.0,
 ) -> list[WarningStats]:
     """Population-weighted warning-time statistics per bin for one alert time.
 
-    ``time_s`` is the alert's detection time. A bin with no cell that takes
-    part yields population 0 and absent statistics.
+    ``time_s`` is the alert's detection time, or None when no alert was
+    raised. A bin with no cell that takes part, and every bin when no
+    alert was raised, yields population 0 and absent statistics.
     """
     if not 0 < hist_width_s < math.inf:
         raise ValueError(f"hist_width_s must be finite and > 0, got {hist_width_s}")
-    return [
-        _bin_stats(b, s_vals - time_s - ap.dissemination_latency_s, pops, hist_width_s)
-        for b, s_vals, pops in zip(field.bins, field.s_arrivals, field.pops)
-    ]
+    latency = ap.dissemination_latency_s
+    consts = [None] * len(field.bins) if time_s is None else _s_stats(field)
+    out = []
+    for b, s_vals, pops, c in zip(field.bins, field.s_arrivals, field.pops, consts):
+        if c is None:
+            out.append(WarningStats(b, 0.0, None, None, None, ()))
+            continue
+        hist = _histogram(s_vals - time_s - latency, pops, hist_width_s)
+        p2_5, mean, p97_5 = (x - time_s - latency for x in c)
+        out.append(WarningStats(b, float(sum(h[2] for h in hist)), p2_5, mean, p97_5, hist))
+    return out
 
 
 def warning_vs_n(
@@ -192,25 +206,14 @@ def warning_vs_n(
     with no detections (or a bin with no population) yields rows with
     absent values.
 
-    A replica's warning times are the bin's S arrivals shifted by one
-    constant, -(t + latency). A shift keeps the order of the cells, so the
-    weighted percentiles pick the same cell for every replica, and it
-    moves the weighted mean by the same constant. So each bin's three
-    statistics are taken once on the S arrivals and shifted per replica:
-    the percentiles bit for bit as if every cell were shifted, the mean
-    within rounding (a few ulp) of the weighted mean of shifted cells.
+    Each bin's three statistics are taken once on its S arrivals
+    (``_s_stats``) and shifted per replica, as in :func:`warning_stats`, so
+    a one-replica row equals a ``warning_stats`` call at its alert time.
     """
     n_values, first = np.unique(runs.n, return_index=True)
     n_order = n_values[np.argsort(first)].tolist()
     stats = ("p2_5", "mean", "p97_5")
-    s_stats = [
-        None if s_vals.size == 0 else (
-            weighted_percentile(s_vals, pops, 2.5),
-            float(np.average(s_vals, weights=pops)),
-            weighted_percentile(s_vals, pops, 97.5),
-        )
-        for s_vals, pops in zip(field.s_arrivals, field.pops)
-    ]
+    s_stats = _s_stats(field)
     rows: list[WarningBand] = []
     for n in n_order:
         times = eq.origin_time_s + runs.delay_s[(runs.n == n) & runs.detected]
@@ -250,21 +253,16 @@ def mode_conditioned_detection(
 
 # --- CSV emission -------------------------------------------------------------
 
-def write_warning_hist_csv(stream: IO[str], stats: Sequence[WarningStats]) -> None:
+def write_warning_hist_csv(stats: Sequence[WarningStats]) -> str:
     """Histogram rows per bin; an empty bin emits a single population-0 row."""
-    stream.write("bin,edge_lo_s,edge_hi_s,population\n")
+    rows = []
     for ws in stats:
-        if not ws.histogram:
-            stream.write(f'"{ws.bin}",,,{repr(0.0)}\n')
-            continue
-        for lo, hi, p in ws.histogram:
-            stream.write(f'"{ws.bin}",{repr(float(lo))},{repr(float(hi))},{repr(float(p))}\n')
+        rows += [(ws.bin, *h) for h in ws.histogram] or [(ws.bin, None, None, 0.0)]
+    return format_csv("bin,edge_lo_s,edge_hi_s,population", rows)
 
 
-def write_warning_vs_n_csv(stream: IO[str], rows: Sequence[WarningBand]) -> None:
-    stream.write("n,bin,stat,value_s,band_lo_s,band_hi_s\n")
-    for r in rows:
-        value = "" if r.value_s is None else repr(float(r.value_s))
-        lo = "" if r.band_lo_s is None else repr(float(r.band_lo_s))
-        hi = "" if r.band_hi_s is None else repr(float(r.band_hi_s))
-        stream.write(f'{r.n},"{r.bin}",{r.stat},{value},{lo},{hi}\n')
+def write_warning_vs_n_csv(rows: Sequence[WarningBand]) -> str:
+    return format_csv(
+        "n,bin,stat,value_s,band_lo_s,band_hi_s",
+        ((r.n, r.bin, r.stat, r.value_s, r.band_lo_s, r.band_hi_s) for r in rows),
+    )

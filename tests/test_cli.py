@@ -1,5 +1,6 @@
 """End-to-end command tests on a small synthetic scenario."""
 
+import csv
 import os
 from pathlib import Path
 
@@ -109,6 +110,15 @@ class TestExposure:
         (rundir / "mmi.asc").unlink()
         assert run(rundir, "exposure") == 2
         assert "mmi.asc" in capsys.readouterr().err
+
+    def test_bin_labels_keep_every_digit(self, rundir):
+        # ':g' alone labelled the second bin "(7.5,7.5]"
+        bins = "(7.0,7.5000001] (7.5000001,7.5000002]"
+        (rundir / "run.ini").write_text(CONFIG + f"\n[warning]\nmmi_bins = {bins}\n",
+                                        encoding="utf-8")
+        assert run(rundir, "exposure") == 0
+        rows = list(csv.reader(read(rundir, "exposure.csv").splitlines()[1:]))
+        assert [r[0] for r in rows] == ["(7,7.5000001]", "(7.5000001,7.5000002]"]
 
     def test_uniform_mmi_single_row_nonzero(self, tmp_path):
         (tmp_path / "pop.asc").write_text(POP, encoding="utf-8")
@@ -466,7 +476,34 @@ class TestBadConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "cat.csv" in err[0] and "UTF-8" in err[0]
+        assert err[0].endswith(": not UTF-8 text (byte 0xff: invalid start byte)")
         assert not (rundir / "out" / "runs.csv").exists()
+
+    @pytest.mark.parametrize("name", ["pop.asc", "mmi.asc", "out/runs.csv"])
+    def test_non_utf8_input_exit_2(self, rundir, capsys, name):
+        # each input file gives the same message, naming the file and the byte
+        assert run(rundir, "simulate") == 0
+        path = rundir / name
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+        before = snapshot(rundir / "out")
+        capsys.readouterr()
+        assert run(rundir, "warn") == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+        )
+        assert snapshot(rundir / "out") == before
+
+    def test_bad_catalog_row_names_file_once_and_line(self, rundir, capsys):
+        (rundir / "run.ini").write_text(CONFIG.replace("synth_n = 40", "path = cat.csv"),
+                                        encoding="utf-8")
+        path = rundir / "cat.csv"
+        path.write_text("lat,lon\n18.3,-72.7\n\n18.4\n", encoding="utf-8")
+        assert run(rundir, "simulate") == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: catalog line 4: expected 'lat,lon', got '18.4'\n"
+        )
+        assert not (rundir / "out").exists()
 
     def test_non_utf8_config_exit_2(self, rundir, capsys):
         (rundir / "run.ini").write_bytes(CONFIG.encode() + b"# caf\xe9\n")
@@ -474,6 +511,7 @@ class TestBadConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "run.ini" in err[0] and "UTF-8" in err[0]
+        assert err[0].endswith(": not UTF-8 text (byte 0xe9: invalid continuation byte)")
 
     @pytest.mark.parametrize("section, key", [
         ("phone", "delay_hi_s"),

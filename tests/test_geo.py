@@ -1,8 +1,9 @@
+import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from eewsim.errors import (
@@ -26,6 +27,7 @@ from eewsim.geo import (
     check_population_grid,
     exposure_histogram,
     format_ascii_grid,
+    format_csv,
     haversine_km,
     haversine_km_points,
     normalize_lon,
@@ -389,12 +391,34 @@ class TestCellAddressing:
                 assert vec[i] == scalar
 
 
+_EDGES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mmi_bins(draw):
+    lo, hi = sorted((draw(_EDGES), draw(_EDGES)))
+    assume(lo < hi)
+    return MmiBin(lo, hi, lo_open=draw(st.booleans()), hi_open=draw(st.booleans()))
+
+
 class TestMmiBin:
     def test_parse_and_format(self):
         b = MmiBin.parse("(7.5,8]")
         assert (b.lo, b.hi, b.lo_open, b.hi_open) == (7.5, 8.0, True, False)
         assert str(b) == "(7.5,8]"
         assert MmiBin.parse("[8,8.5)") == MmiBin(8.0, 8.5, lo_open=False, hi_open=True)
+
+    def test_label_keeps_every_digit(self):
+        # ':g' alone keeps 6 significant digits and wrote this bin as (7.5,7.5]
+        assert str(MmiBin(7.5000001, 7.5000002)) == "(7.5000001,7.5000002]"
+        assert str(MmiBin(0.0, 12.0, lo_open=False, hi_open=True)) == "[0,12)"
+
+    @given(mmi_bins())
+    @example(MmiBin(7.5000001, 7.5000002))
+    @example(MmiBin(-0.0, 5e-324, lo_open=False, hi_open=True))
+    @example(MmiBin(-1.7976931348623157e308, 1e16))
+    def test_str_parse_round_trip(self, b):
+        assert MmiBin.parse(str(b)) == b
 
     def test_contains_boundaries(self):
         b = MmiBin(7.5, 8.0)  # (7.5, 8]
@@ -414,6 +438,42 @@ class TestMmiBin:
             check_disjoint_bins(
                 [MmiBin(7.5, 8.0), MmiBin(8.0, 8.5, lo_open=False)]
             )
+
+
+_CSV_FIELDS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**63, 2**63 - 1), st.floats(allow_nan=False),
+    mmi_bins(),
+)
+
+
+class TestFormatCsv:
+    # rows hold at least two fields: a lone empty field writes a blank line
+    @given(st.lists(st.lists(_CSV_FIELDS, min_size=2, max_size=6), max_size=8))
+    @example([[-0.0, 5e-324, 1e308, None, True, 7, MmiBin(7.5, 8.0)], [False, 0.1]])
+    def test_fields_read_back(self, rows):
+        text = format_csv("a,b", rows)
+        assert text.endswith("\n")
+        header, *lines = text[:-1].split("\n")
+        assert header == "a,b"
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            (fields,) = csv.reader([line])
+            assert len(fields) == len(row)
+            for got, x in zip(fields, row):
+                if x is None:
+                    assert got == ""
+                elif isinstance(x, bool):
+                    assert got == ("true" if x else "false")
+                elif isinstance(x, int):
+                    assert got == str(x)
+                elif isinstance(x, float):
+                    assert float(got).hex() == x.hex()
+                else:
+                    assert got == str(x) and MmiBin.parse(got) == x
+                    assert f'"{x}"' in line
+
+    def test_no_rows(self):
+        assert format_csv("lat,lon", []) == "lat,lon\n"
 
 
 class TestExposure:

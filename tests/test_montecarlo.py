@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -288,12 +287,11 @@ class TestCsvRoundTrip:
             (10, 0, (3.25, 7.5, 18.123456789, -72.987654321)),
             (10, 1, None),
         ])
-        buf = io.StringIO()
-        write_runs_csv(buf, runs)
-        assert buf.getvalue().splitlines()[1:] == [
+        text = write_runs_csv(runs)
+        assert text.splitlines()[1:] == [
             "10,0,true,3.25,7.5,18.123456789,-72.987654321", "10,1,false,,,,",
         ]
-        assert_runs_equal(read_runs_csv(buf.getvalue()), runs)
+        assert_runs_equal(read_runs_csv(text), runs)
 
     @given(st.lists(
         st.tuples(
@@ -310,23 +308,17 @@ class TestCsvRoundTrip:
     ))
     def test_runs_csv_round_trip_property(self, rows):
         runs = runs_array(rows)
-        buf = io.StringIO()
-        write_runs_csv(buf, runs)
-        text = buf.getvalue()
+        text = write_runs_csv(runs)
         back = read_runs_csv(text)
         assert_runs_equal(back, runs)
         assert not back.flags.writeable
-        again = io.StringIO()
-        write_runs_csv(again, back)
-        assert again.getvalue() == text
+        assert write_runs_csv(back) == text
 
     def test_summary_csv_header_and_blanks(self):
         s = McSummary(n=5, replicas=3, detect_rate=0.0,
                       delay_mean_s=None, delay_lo_s=None, delay_hi_s=None,
                       dist_mean_km=None, dist_lo_km=None, dist_hi_km=None)
-        buf = io.StringIO()
-        write_summary_csv(buf, [s])
-        lines = buf.getvalue().splitlines()
+        lines = write_summary_csv([s]).splitlines()
         assert lines[0].startswith("n,replicas,detect_rate")
         assert lines[1] == "5,3,0.0,,,,,,"
 

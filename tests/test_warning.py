@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from eewsim.detection import Detection
 from eewsim.errors import EmptyBins, EmptyInput, NoDetections
-from eewsim.geo import GeoPoint, MmiBin, cell_center
-from eewsim.scenario import Earthquake, VelocityModel
+from eewsim.geo import DEFAULT_MMI_BINS, GeoPoint, MmiBin, cell_center, match_cells
+from eewsim.scenario import Earthquake, VelocityModel, s_arrivals_s
 from eewsim.warning import (
     AlertParams,
+    WarningStats,
     mode_conditioned_detection,
     warning_field,
     warning_stats,
@@ -90,6 +91,19 @@ def field_with_warnings(w, mmi, pop, bins):
     return replace(field, s_arrivals=tuple(w.values[sel] for sel in sels))
 
 
+def fine_grids():
+    """600x480 rasters at 0.005 deg over the demo's extent.
+
+    Population peaks near the demo epicentre, with zero cells where it
+    rounds down and nodata in the west; intensity falls off from the peak.
+    """
+    base = make_grid(np.zeros((480, 600)), xll=-74.6, yll=17.8, cellsize=0.005)
+    lat2, lon2 = base.center_mesh()
+    r = np.hypot(lat2 - 18.5, lon2 + 72.5)
+    pop = np.where(lon2 < -74.3, -9999.0, np.floor(1000.0 * np.exp(-r * r / 0.2)))
+    return replace(base, values=pop), replace(base, values=np.clip(9.5 - 3.0 * r, 0.0, 12.0))
+
+
 class TestWarningField:
     ALL = [MmiBin(0.0, 12.0)]
 
@@ -145,6 +159,22 @@ class TestWarningField:
         assert field.bins == tuple(bins)
         assert [p.tolist() for p in field.pops] == [[1.0, 3.0], [2.0], []]
 
+    @pytest.mark.parametrize("grids", ["demo", "600x480"])
+    def test_s_arrivals_match_full_mesh(self, grids, demo_pop, demo_mmi, demo_quake, vmodel):
+        # S arrivals are taken only on the cells some bin keeps; each must
+        # carry the bits the whole centre mesh gives it, also where a SIMD
+        # kernel's tail ends at another cell. The bins leave gaps.
+        pop, mmi = (demo_pop, demo_mmi) if grids == "demo" else fine_grids()
+        eq, vm = demo_quake, vmodel
+        bins = [MmiBin(5.0, 6.0), *DEFAULT_MMI_BINS]
+        lat2, lon2, samples, matched = match_cells(pop, mmi)
+        full = s_arrivals_s(eq, vm, lat2, lon2)
+        field = warning_field(eq, vm, mmi, pop, bins)
+        for b, s_arr in zip(bins, field.s_arrivals):
+            want = full[matched & (pop.values > 0) & b.contains(samples)]
+            assert s_arr.tobytes() == want.tobytes()
+        assert sum(s_arr.size for s_arr in field.s_arrivals) > 1000
+
     def test_overlapping_bins_rejected(self):
         pop = make_grid([[1.0]])
         with pytest.raises(ValueError):
@@ -181,6 +211,27 @@ class TestWarningStats:
         assert out[1].population == 0.0
         assert out[1].p2_5_s is None and out[1].mean_s is None
         assert out[1].histogram == ()
+
+    def test_no_alert_rows(self):
+        # no alert raised: every bin, populated or not, is an empty row
+        w, mmi, pop = self.one_bin_setup()
+        field = field_with_warnings(w, mmi, pop, [MmiBin(7.5, 8.5), MmiBin(10.0, 11.0)])
+        assert warning_stats(field, None, AlertParams()) == [
+            WarningStats(b, 0.0, None, None, None, ()) for b in field.bins
+        ]
+
+    def test_statistics_of_shifted_cells(self):
+        rng = np.random.default_rng(45)
+        pop, mmi = small_scenario(rng)
+        bins = [MmiBin(6.0, 8.0), MmiBin(8.0, 9.5)]
+        field = warning_field(quake(), VelocityModel(), mmi, pop, bins)
+        t, ap = 4.2, AlertParams(0.3)
+        for ws, s_arr, pops in zip(warning_stats(field, t, ap), field.s_arrivals, field.pops):
+            w = s_arr - t - ap.dissemination_latency_s
+            assert ws.p2_5_s == weighted_percentile(w, pops, 2.5)
+            assert ws.p97_5_s == weighted_percentile(w, pops, 97.5)
+            assert ws.mean_s == pytest.approx(np.average(w, weights=pops),
+                                              rel=0, abs=MEAN_EPS * (s_arr.max() + t + 0.3))
 
     def test_histogram_accounting_exact(self):
         rng = np.random.default_rng(37)

@@ -4,15 +4,19 @@ Sections mirror the parameter blocks of the simulation: [scenario],
 [inputs], [catalog], [phone], [detector], [alert], [campaign], [warning],
 [density], [output]. Relative paths are resolved against the directory of
 the config file. Unknown sections or keys are rejected so typos fail loud.
+
+The number fields of the parameter dataclasses in ``_PARAMS`` are their
+section's keys: each one's name, type and default is its field's.
 """
 
 from __future__ import annotations
 
+import configparser
 import math
-from dataclasses import dataclass, replace
+from configparser import ConfigParser
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-
-from configparser import ConfigParser, Error as ConfigParserError
+from typing import IO, get_type_hints
 
 from .detection import DetectorParams, PhoneParams
 from .errors import ConfigError
@@ -23,21 +27,37 @@ from .warning import AlertParams
 DEFAULT_N_GRID = tuple(range(300, 3001, 100))
 DEFAULT_REPLICAS = 1000
 
+# the dataclasses whose int and float fields are their section's keys; the
+# epicenter, a GeoPoint, is read from the epicenter_lat and epicenter_lon keys
+_PARAMS = {
+    "scenario": (Earthquake, VelocityModel),
+    "phone": (PhoneParams,),
+    "detector": (DetectorParams,),
+    "alert": (AlertParams,),
+}
+
+# the keys that name no field of a _PARAMS dataclass
 _KNOWN_KEYS = {
-    "scenario": {
-        "epicenter_lat", "epicenter_lon", "depth_km", "magnitude",
-        "origin_time_s", "v_p_km_s", "v_s_km_s",
-    },
+    "scenario": {"epicenter_lat", "epicenter_lon"},
     "inputs": {"population_grid", "mmi_grid"},
     "catalog": {"path", "synth_n", "synth_seed"},
-    "phone": {"p_detect", "delay_lo_s", "delay_hi_s"},
-    "detector": {"k_min", "window_s"},
-    "alert": {"dissemination_latency_s"},
     "campaign": {"n_grid", "replicas", "master_seed"},
     "warning": {"mmi_bins", "hist_width_s"},
     "density": {"bandwidth_deg"},
     "output": {"directory"},
 }
+
+_KINDS = {  # each _PARAMS dataclass -> its int and float fields by name, with their types
+    cls: {name: kind for name, kind in get_type_hints(cls).items() if kind in (int, float)}
+    for classes in _PARAMS.values() for cls in classes
+}
+
+_KEYS = {  # section -> every key it accepts
+    section: _KNOWN_KEYS.get(section, set()).union(*(_KINDS[c] for c in _PARAMS.get(section, ())))
+    for section in _KNOWN_KEYS.keys() | _PARAMS.keys()
+}
+
+_REQUIRED = object()  # _value default: an absent key is an error
 
 
 @dataclass(frozen=True)
@@ -61,183 +81,166 @@ class RunConfig:
     out_dir: Path
 
 
-class _Reader:
-    """Typed key lookup over a ConfigParser with path-aware diagnostics."""
-
-    def __init__(self, parser: ConfigParser, path: Path):
-        self.parser = parser
-        self.path = path
-
-    def _raw(self, section: str, key: str) -> str | None:
-        if self.parser.has_option(section, key):
-            return self.parser.get(section, key)
-        return None
-
-    def get_float(self, section: str, key: str, default: float | None = None) -> float:
-        raw = self._raw(section, key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"{self.path}: missing required key [{section}] {key}")
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}: [{section}] {key} must be a number, got {raw!r}"
-            ) from None
-
-    def get_int(self, section: str, key: str, default: int | None = None) -> int:
-        raw = self._raw(section, key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"{self.path}: missing required key [{section}] {key}")
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}: [{section}] {key} must be an integer, got {raw!r}"
-            ) from None
-
-
-def _parse_n_grid(raw: str, path: Path) -> tuple[int, ...]:
-    tokens = raw.replace(",", " ").split()
+def _value(parser: ConfigParser, section: str, key: str, kind=str, default=None):
+    """``[section] key`` read by ``kind`` (a type or a parser), or ``default`` when absent."""
+    if not parser.has_option(section, key):
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key [{section}] {key}")
+        return default
+    raw = parser.get(section, key)
     try:
-        values = tuple(int(t) for t in tokens)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{path}: [campaign] n_grid must be a list of integers") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key} must be {noun}, got {raw!r}") from None
+
+
+def _params(parser: ConfigParser, section: str, cls, **fixed):
+    """``cls(**fixed, **given)``, ``given`` holding the number fields ``section`` sets.
+
+    A field the file leaves out keeps its default, or is a missing
+    required key when it has none.
+    """
+    kinds = _KINDS[cls]
+    given = {
+        f.name: _value(parser, section, f.name, kinds[f.name], _REQUIRED)
+        for f in fields(cls)
+        if f.name in kinds and (parser.has_option(section, f.name) or f.default is MISSING)
+    }
+    return cls(**fixed, **given)
+
+
+def _replicas(value: int, name: str) -> int:
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _master_seed(value: int, name: str) -> int:
+    if not 0 <= value < 2**64:
+        raise ConfigError(f"{name} must fit in 64 bits, got {value}")
+    return value
+
+
+def _parse_n_grid(raw: str) -> tuple[int, ...]:
+    try:
+        values = tuple(int(t) for t in raw.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError("[campaign] n_grid must be a list of integers") from None
     if not values:
-        raise ConfigError(f"{path}: [campaign] n_grid is empty")
+        raise ConfigError("[campaign] n_grid is empty")
     if any(v < 1 for v in values):
-        raise ConfigError(f"{path}: [campaign] n_grid values must be >= 1")
+        raise ConfigError("[campaign] n_grid values must be >= 1")
     if len(set(values)) != len(values):
-        raise ConfigError(f"{path}: [campaign] n_grid contains duplicates")
+        raise ConfigError("[campaign] n_grid contains duplicates")
     return values
 
 
-def _parse_bins(raw: str, path: Path) -> tuple[MmiBin, ...]:
+def _parse_bins(raw: str) -> tuple[MmiBin, ...]:
     try:
         bins = tuple(MmiBin.parse(tok) for tok in raw.split())
         if not bins:
             raise ValueError("no bins given")
         check_disjoint_bins(bins)
     except ValueError as e:
-        raise ConfigError(f"{path}: [warning] mmi_bins: {e}") from None
+        raise ConfigError(f"[warning] mmi_bins: {e}") from None
     return bins
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run configuration file."""
-    path = Path(path)
-    parser = ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        read_input(path, "config", lambda fh: parser.read_file(fh, source=str(path)))
-    except ConfigParserError as e:
-        raise ConfigError(f"{path}: {e}") from None
+def _parse_bandwidth(raw: str) -> float | None:
+    if raw.strip().lower() == "auto":
+        return None  # Silverman's rule
+    bandwidth = float(raw)
+    if not 0 < bandwidth < math.inf:
+        raise ConfigError("[density] bandwidth_deg must be finite and > 0, or 'auto'")
+    return bandwidth
 
+
+def _read_ini(fh: IO[str]) -> ConfigParser:
+    """The sections of ``fh``, each syntax error one ``line N: ...`` message.
+
+    Values are literal: ``%`` is no interpolation marker.
+    """
+    lines = fh.readlines()
+    parser = ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        parser.read_file(lines)
+    except configparser.DuplicateSectionError as e:
+        raise ConfigError(f"line {e.lineno}: duplicate section [{e.section}]") from None
+    except configparser.DuplicateOptionError as e:
+        raise ConfigError(f"line {e.lineno}: duplicate key [{e.section}] {e.option}") from None
+    except configparser.MissingSectionHeaderError as e:
+        raise ConfigError(
+            f"line {e.lineno}: expected a [section] header, got {e.line.strip()!r}"
+        ) from None
+    except configparser.ParsingError as e:
+        lineno = e.errors[0][0]
+        raise ConfigError(
+            f"line {lineno}: expected 'key = value', got {lines[lineno - 1].strip()!r}"
+        ) from None
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}: unknown section [{section}]")
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError(f"{path}: unknown key [{section}] {key}")
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key [{section}] {key}")
+    return parser
 
-    r = _Reader(parser, path)
-    base = path.resolve().parent
 
-    def _path(section: str, key: str, required: bool) -> Path | None:
-        raw = r._raw(section, key)
-        if raw is None:
-            if required:
-                raise ConfigError(f"{path}: missing required key [{section}] {key}")
-            return None
-        p = Path(raw)
-        return p if p.is_absolute() else base / p
+def load_config(path: str | Path) -> RunConfig:
+    """Parse and validate a run configuration file.
 
-    try:
-        earthquake = Earthquake(
-            epicenter=GeoPoint(
-                r.get_float("scenario", "epicenter_lat"),
-                r.get_float("scenario", "epicenter_lon"),
-            ),
-            depth_km=r.get_float("scenario", "depth_km"),
-            magnitude=r.get_float("scenario", "magnitude", 0.0),
-            origin_time_s=r.get_float("scenario", "origin_time_s", 0.0),
-        )
-        velocity = VelocityModel(
-            v_p_km_s=r.get_float("scenario", "v_p_km_s", VelocityModel().v_p_km_s),
-            v_s_km_s=r.get_float("scenario", "v_s_km_s", VelocityModel().v_s_km_s),
-        )
-        phone = PhoneParams(
-            p_detect=r.get_float("phone", "p_detect", PhoneParams().p_detect),
-            delay_lo_s=r.get_float("phone", "delay_lo_s", PhoneParams().delay_lo_s),
-            delay_hi_s=r.get_float("phone", "delay_hi_s", PhoneParams().delay_hi_s),
-        )
-        detector = DetectorParams(
-            k_min=r.get_int("detector", "k_min", DetectorParams().k_min),
-            window_s=r.get_float("detector", "window_s", DetectorParams().window_s),
-        )
-        alert = AlertParams(
-            dissemination_latency_s=r.get_float("alert", "dissemination_latency_s", 0.0),
-        )
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
+    Every error is a ConfigError that names the file once (see
+    ``geo.read_input``).
+    """
+    path = Path(path)
+    return read_input(path, "config", lambda fh: _parse(fh, path.resolve().parent))
 
-    catalog_path = _path("catalog", "path", required=False)
-    synth_n = None if r._raw("catalog", "synth_n") is None else r.get_int("catalog", "synth_n")
+
+def _parse(fh: IO[str], base: Path) -> RunConfig:
+    p = _read_ini(fh)
+
+    def path_of(section: str, key: str, default=None) -> Path | None:
+        raw = _value(p, section, key, str, default)
+        return None if raw is None else base / raw  # an absolute raw path stays as is
+
+    epicenter = GeoPoint(_value(p, "scenario", "epicenter_lat", float, _REQUIRED),
+                         _value(p, "scenario", "epicenter_lon", float, _REQUIRED))
+    catalog_path = path_of("catalog", "path")
+    synth_n = _value(p, "catalog", "synth_n", int)
     if catalog_path is not None and synth_n is not None:
-        raise ConfigError(f"{path}: [catalog] give either path or synth_n, not both")
+        raise ConfigError("[catalog] give either path or synth_n, not both")
     if catalog_path is None and synth_n is None:
-        raise ConfigError(f"{path}: [catalog] needs a path or a synth_n")
+        raise ConfigError("[catalog] needs a path or a synth_n")
     if synth_n is not None and synth_n < 1:
-        raise ConfigError(f"{path}: [catalog] synth_n must be >= 1")
-    synth_seed = r.get_int("catalog", "synth_seed", 0)
+        raise ConfigError("[catalog] synth_n must be >= 1")
+    synth_seed = _value(p, "catalog", "synth_seed", int, 0)
     if synth_seed < 0:
-        raise ConfigError(f"{path}: [catalog] synth_seed must be >= 0")
-
-    raw_n_grid = r._raw("campaign", "n_grid")
-    n_grid = DEFAULT_N_GRID if raw_n_grid is None else _parse_n_grid(raw_n_grid, path)
-    replicas = r.get_int("campaign", "replicas", DEFAULT_REPLICAS)
-    if replicas < 1:
-        raise ConfigError(f"{path}: [campaign] replicas must be >= 1")
-    master_seed = r.get_int("campaign", "master_seed", 0)
-    if not 0 <= master_seed < 2**64:
-        raise ConfigError(f"{path}: [campaign] master_seed must fit in 64 bits")
-
-    raw_bins = r._raw("warning", "mmi_bins")
-    mmi_bins = DEFAULT_MMI_BINS if raw_bins is None else _parse_bins(raw_bins, path)
-    hist_width_s = r.get_float("warning", "hist_width_s", 1.0)
+        raise ConfigError("[catalog] synth_seed must be >= 0")
+    hist_width_s = _value(p, "warning", "hist_width_s", float, 1.0)
     if not 0 < hist_width_s < math.inf:
-        raise ConfigError(f"{path}: [warning] hist_width_s must be finite and > 0")
-
-    raw_bw = r._raw("density", "bandwidth_deg")
-    if raw_bw is None or raw_bw.strip().lower() == "auto":
-        bandwidth = None
-    else:
-        bandwidth = r.get_float("density", "bandwidth_deg")
-        if not 0 < bandwidth < math.inf:
-            raise ConfigError(f"{path}: [density] bandwidth_deg must be finite and > 0, or 'auto'")
-
-    out_dir = _path("output", "directory", required=False) or (base / "out")
+        raise ConfigError("[warning] hist_width_s must be finite and > 0")
 
     return RunConfig(
-        earthquake=earthquake,
-        velocity=velocity,
-        phone=phone,
-        detector=detector,
-        alert=alert,
-        population_grid=_path("inputs", "population_grid", required=True),
-        mmi_grid=_path("inputs", "mmi_grid", required=True),
+        earthquake=_params(p, "scenario", Earthquake, epicenter=epicenter),
+        velocity=_params(p, "scenario", VelocityModel),
+        phone=_params(p, "phone", PhoneParams),
+        detector=_params(p, "detector", DetectorParams),
+        alert=_params(p, "alert", AlertParams),
+        population_grid=path_of("inputs", "population_grid", _REQUIRED),
+        mmi_grid=path_of("inputs", "mmi_grid", _REQUIRED),
         catalog_path=catalog_path,
         synth_n=synth_n,
         synth_seed=synth_seed,
-        n_grid=n_grid,
-        replicas=replicas,
-        master_seed=master_seed,
-        mmi_bins=mmi_bins,
+        n_grid=_value(p, "campaign", "n_grid", _parse_n_grid, DEFAULT_N_GRID),
+        replicas=_replicas(_value(p, "campaign", "replicas", int, DEFAULT_REPLICAS),
+                           "[campaign] replicas"),
+        master_seed=_master_seed(_value(p, "campaign", "master_seed", int, 0),
+                                 "[campaign] master_seed"),
+        mmi_bins=_value(p, "warning", "mmi_bins", _parse_bins, DEFAULT_MMI_BINS),
         hist_width_s=hist_width_s,
-        density_bandwidth_deg=bandwidth,
-        out_dir=out_dir,
+        density_bandwidth_deg=_value(p, "density", "bandwidth_deg", _parse_bandwidth),
+        out_dir=path_of("output", "directory", "out"),
     )
 
 
@@ -249,13 +252,9 @@ def apply_overrides(
 ) -> RunConfig:
     """Fold command-line overrides into a loaded config."""
     if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"--seed must fit in 64 bits, got {seed}")
-        cfg = replace(cfg, master_seed=seed)
+        cfg = replace(cfg, master_seed=_master_seed(seed, "--seed"))
     if out is not None:
         cfg = replace(cfg, out_dir=Path(out))
     if replicas is not None:
-        if replicas < 1:
-            raise ConfigError(f"--replicas must be >= 1, got {replicas}")
-        cfg = replace(cfg, replicas=replicas)
+        cfg = replace(cfg, replicas=_replicas(replicas, "--replicas"))
     return cfg

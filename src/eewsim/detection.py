@@ -31,20 +31,14 @@ from .geo import GeoPoint, haversine_km
 from .network import Network, SeedSpec, STREAM_TRIGGERS
 from .scenario import Earthquake, VelocityModel, p_arrivals_s
 
-DEFAULT_P_DETECT = 0.7
-DEFAULT_DELAY_LO_S = 0.5
-DEFAULT_DELAY_HI_S = 3.5
-DEFAULT_K_MIN = 5
-DEFAULT_WINDOW_S = 10.0
-
 
 @dataclass(frozen=True)
 class PhoneParams:
     """Per-phone behaviour: detection probability and reporting delay."""
 
-    p_detect: float = DEFAULT_P_DETECT
-    delay_lo_s: float = DEFAULT_DELAY_LO_S
-    delay_hi_s: float = DEFAULT_DELAY_HI_S
+    p_detect: float = 0.7
+    delay_lo_s: float = 0.5
+    delay_hi_s: float = 3.5
 
     def __post_init__(self):
         if not 0.0 <= self.p_detect <= 1.0:
@@ -59,8 +53,8 @@ class PhoneParams:
 class DetectorParams:
     """Server-side declaration rule: k_min triggers within window_s seconds."""
 
-    k_min: int = DEFAULT_K_MIN
-    window_s: float = DEFAULT_WINDOW_S
+    k_min: int = 5
+    window_s: float = 10.0
 
     def __post_init__(self):
         if self.k_min < 2:

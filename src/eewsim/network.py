@@ -80,7 +80,6 @@ class Catalog:
 
     lats: np.ndarray
     lons: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         lats, lons = _coord_arrays(self.lats, self.lons)
@@ -141,7 +140,7 @@ def load_catalog(source: str | IO[str] | Iterable[str], origin: str = "catalog")
     vals = np.concatenate(chunks) if chunks else np.empty((0, 2))
     if not vals.size:
         raise EmptyCatalog(f"{origin}: no data rows")
-    return Catalog(lats=vals[:, 0], lons=vals[:, 1], source=origin)
+    return Catalog(lats=vals[:, 0], lons=vals[:, 1])
 
 
 def _parse_chunk(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray:
@@ -197,8 +196,7 @@ def synth_catalog(pop: Grid, n_points: int, seed: int) -> Catalog:
     rows, cols = np.divmod(flat, pop.ncols)
     u = rng.random(n_points)
     v = rng.random(n_points)
-    return Catalog(lats=pop.row_lat(rows, v), lons=pop.col_lon(cols, u),
-                   source=f"synthetic(N={n_points}, seed={seed})")
+    return Catalog(lats=pop.row_lat(rows, v), lons=pop.col_lon(cols, u))
 
 
 def sample_network(cat: Catalog, n: int, seed: SeedSpec) -> Network:

@@ -14,9 +14,6 @@ import numpy as np
 
 from .geo import GeoPoint, haversine_km_points
 
-DEFAULT_V_P_KM_S = 6.5
-DEFAULT_V_S_KM_S = 3.5
-
 
 @dataclass(frozen=True)
 class Earthquake:
@@ -36,8 +33,8 @@ class Earthquake:
 
 @dataclass(frozen=True)
 class VelocityModel:
-    v_p_km_s: float = DEFAULT_V_P_KM_S
-    v_s_km_s: float = DEFAULT_V_S_KM_S
+    v_p_km_s: float = 6.5
+    v_s_km_s: float = 3.5
 
     def __post_init__(self):
         if not (math.inf > self.v_p_km_s > self.v_s_km_s > 0):

@@ -65,6 +65,7 @@ master_seed = 77
 [output]
 directory = out
 """
+APPENDED = len(CONFIG.splitlines()) + 1  # the number of a line added after CONFIG
 
 
 @pytest.fixture
@@ -512,6 +513,35 @@ class TestBadConfig:
         assert len(err) == 1
         assert err[0].startswith("error:") and "run.ini" in err[0] and "UTF-8" in err[0]
         assert err[0].endswith(": not UTF-8 text (byte 0xe9: invalid continuation byte)")
+
+    @pytest.mark.parametrize("text, message", [
+        (CONFIG + "[scenario]\n", f"line {APPENDED}: duplicate section [scenario]"),
+        (CONFIG.replace("depth_km = 5.0\n", "depth_km = 5.0\ndepth_km = 6.0\n"),
+         "line 5: duplicate key [scenario] depth_km"),
+        ("garbage\n" + CONFIG, "line 1: expected a [section] header, got 'garbage'"),
+        (CONFIG + "junk line\n", f"line {APPENDED}: expected 'key = value', got 'junk line'"),
+        (CONFIG.replace("epicenter_lat = 18.3", "epicenter_lat = 91"),
+         "latitude 91.0 outside [-90, 90]"),
+        (CONFIG.replace("epicenter_lon = -72.7", "epicenter_lon = inf"),
+         "non-finite coordinate (18.3, inf)"),
+        (CONFIG.replace("depth_km = 5.0", "depth_km = 5%"),
+         "[scenario] depth_km must be a number, got '5%'"),
+    ], ids=["duplicate-section", "duplicate-key", "no-header", "junk-line", "latitude-91",
+            "longitude-inf", "percent-in-number"])
+    def test_config_error_names_file_once(self, rundir, capsys, text, message):
+        path = rundir / "run.ini"
+        path.write_text(text, encoding="utf-8")
+        assert run(rundir, "exposure") == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (rundir / "out").exists()
+
+    def test_percent_in_catalog_path_loads_that_file(self, rundir):
+        (rundir / "run.ini").write_text(CONFIG.replace("synth_n = 40", "path = cat%1.csv"),
+                                        encoding="utf-8")
+        (rundir / "cat%1.csv").write_text(
+            "lat,lon\n" + "".join(f"18.{k},-72.{k}\n" for k in range(10, 50)), encoding="utf-8")
+        assert run(rundir, "simulate") == 0
+        assert read(rundir, "runs.csv").count("\n") == 6  # header and five replicas
 
     @pytest.mark.parametrize("section, key", [
         ("phone", "delay_hi_s"),

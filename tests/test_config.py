@@ -1,7 +1,10 @@
+import re
+from configparser import ConfigParser
 from pathlib import Path
 
 import pytest
 
+from eewsim import config
 from eewsim.config import DEFAULT_N_GRID, apply_overrides, load_config
 from eewsim.errors import ConfigError
 from eewsim.geo import MmiBin
@@ -119,6 +122,23 @@ directory = results
         text = MINIMAL.replace("depth_km = 10.0", "depth_km = ten")
         with pytest.raises(ConfigError, match=r"\[scenario\] depth_km"):
             load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("raw", ["cat%1.csv", "a%%b.csv", "%(x)s.csv"])
+    def test_percent_is_literal(self, tmp_path, raw):
+        # '%' once started configparser interpolation, and 'out%1' crashed
+        text = MINIMAL.replace("synth_n = 100", f"path = {raw}")
+        assert load_config(write_config(tmp_path, text)).catalog_path == tmp_path / raw
+
+    def test_readme_lists_every_accepted_key(self):
+        # the README's [Configuration] block is the key reference: a new
+        # parameter field becomes a key, so it must appear there too
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Configuration\n.*?```ini\n(.*?)```", readme, re.S).group(1)
+        doc = ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+        doc.read_string(block)
+        documented = {(s, k) for s in doc.sections() for k in doc.options(s)}
+        accepted = {(s, k) for s, keys in config._KEYS.items() for k in keys}
+        assert documented == accepted
 
 
 class TestOverrides:

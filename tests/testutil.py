@@ -191,7 +191,7 @@ def load_catalog_oracle(source, origin: str = "catalog") -> Catalog:
             )
         lats[k] = lat
         lons[k] = normalize_lon_scalar(lon)
-    return Catalog(lats=lats, lons=lons, source=origin)
+    return Catalog(lats=lats, lons=lons)
 
 
 def parse_ascii_grid_oracle(source) -> Grid:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import montecarlo, warning
 from .config import RunConfig, apply_overrides, load_config
-from .errors import ConfigError, EewsimError, NoDetections, NTooLarge
+from .errors import EewsimError
 from .geo import (
     Grid,
     check_mmi_grid,
@@ -122,7 +122,7 @@ def cmd_synth(run: _Run) -> None:
     """Write a synthetic catalog CSV drawn from the population raster."""
     cfg = run.cfg
     if cfg.synth_n is None:
-        raise ConfigError("cmd synth needs a [catalog] synth_n in the config")
+        raise EewsimError("cmd synth needs a [catalog] synth_n in the config")
     # the CSV round trip is exact, so a later simulate takes this catalog as is
     run.catalog = cat = synth_catalog(run.pop, cfg.synth_n, cfg.synth_seed)
     run.write("catalog.csv", format_csv("lat,lon", zip(cat.lats.tolist(), cat.lons.tolist())))
@@ -133,7 +133,7 @@ def cmd_simulate(run: _Run) -> None:
     """Run the campaign; write runs.csv, summary.csv and density grids."""
     cfg, pop, cat = run.cfg, run.pop, run.catalog
     if max(cfg.n_grid) > len(cat):
-        raise NTooLarge(
+        raise EewsimError(
             f"n_grid contains {max(cfg.n_grid)} but the catalog holds only {len(cat)} points"
         )
     summaries, run.runs = run_campaign(
@@ -144,13 +144,11 @@ def cmd_simulate(run: _Run) -> None:
     run.write("summary.csv", montecarlo.write_summary_csv(summaries))
 
     for n in cfg.n_grid:
-        try:
-            density = montecarlo.detection_density(
-                run.runs[run.runs.n == n], pop, cfg.density_bandwidth_deg
-            )
-        except NoDetections:
+        mine = run.runs[run.runs.n == n]
+        if not mine.detected.any():
             run.say(f"n={n}: no detections, skipping density grid")
             continue
+        density = montecarlo.detection_density(mine, pop, cfg.density_bandwidth_deg)
         run.write(f"density_n{n}.asc", format_ascii_grid(density.grid))
     run.say(f"built runs.csv, summary.csv and density grids ({len(run.runs)} replicas "
             f"over {len(cfg.n_grid)} network sizes)")

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import IO, get_type_hints
 
 from .detection import DetectorParams, PhoneParams
-from .errors import ConfigError
+from .errors import EewsimError
 from .geo import DEFAULT_MMI_BINS, GeoPoint, MmiBin, check_disjoint_bins, read_input
 from .scenario import Earthquake, VelocityModel
 from .warning import AlertParams
@@ -85,14 +85,14 @@ def _value(parser: ConfigParser, section: str, key: str, kind=str, default=None)
     """``[section] key`` read by ``kind`` (a type or a parser), or ``default`` when absent."""
     if not parser.has_option(section, key):
         if default is _REQUIRED:
-            raise ConfigError(f"missing required key [{section}] {key}")
+            raise EewsimError(f"missing required key [{section}] {key}")
         return default
     raw = parser.get(section, key)
     try:
         return kind(raw)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"[{section}] {key} must be {noun}, got {raw!r}") from None
+        raise EewsimError(f"[{section}] {key} must be {noun}, got {raw!r}") from None
 
 
 def _params(parser: ConfigParser, section: str, cls, **fixed):
@@ -112,13 +112,13 @@ def _params(parser: ConfigParser, section: str, cls, **fixed):
 
 def _replicas(value: int, name: str) -> int:
     if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
+        raise EewsimError(f"{name} must be >= 1, got {value}")
     return value
 
 
 def _master_seed(value: int, name: str) -> int:
     if not 0 <= value < 2**64:
-        raise ConfigError(f"{name} must fit in 64 bits, got {value}")
+        raise EewsimError(f"{name} must fit in 64 bits, got {value}")
     return value
 
 
@@ -126,13 +126,13 @@ def _parse_n_grid(raw: str) -> tuple[int, ...]:
     try:
         values = tuple(int(t) for t in raw.replace(",", " ").split())
     except ValueError:
-        raise ConfigError("[campaign] n_grid must be a list of integers") from None
+        raise EewsimError("[campaign] n_grid must be a list of integers") from None
     if not values:
-        raise ConfigError("[campaign] n_grid is empty")
+        raise EewsimError("[campaign] n_grid is empty")
     if any(v < 1 for v in values):
-        raise ConfigError("[campaign] n_grid values must be >= 1")
+        raise EewsimError("[campaign] n_grid values must be >= 1")
     if len(set(values)) != len(values):
-        raise ConfigError("[campaign] n_grid contains duplicates")
+        raise EewsimError("[campaign] n_grid contains duplicates")
     return values
 
 
@@ -143,7 +143,7 @@ def _parse_bins(raw: str) -> tuple[MmiBin, ...]:
             raise ValueError("no bins given")
         check_disjoint_bins(bins)
     except ValueError as e:
-        raise ConfigError(f"[warning] mmi_bins: {e}") from None
+        raise EewsimError(f"[warning] mmi_bins: {e}") from None
     return bins
 
 
@@ -152,45 +152,53 @@ def _parse_bandwidth(raw: str) -> float | None:
         return None  # Silverman's rule
     bandwidth = float(raw)
     if not 0 < bandwidth < math.inf:
-        raise ConfigError("[density] bandwidth_deg must be finite and > 0, or 'auto'")
+        raise EewsimError("[density] bandwidth_deg must be finite and > 0, or 'auto'")
     return bandwidth
 
 
 def _read_ini(fh: IO[str]) -> ConfigParser:
     """The sections of ``fh``, each syntax error one ``line N: ...`` message.
 
-    Values are literal: ``%`` is no interpolation marker.
+    Values are literal: ``%`` is no interpolation marker. ``[DEFAULT]`` is
+    an ordinary, hence unknown, section, and a value that an indented line
+    continues is rejected.
     """
     lines = fh.readlines()
-    parser = ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # no file line can be the section name "\n", so no section holds defaults
+    parser = ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
+                          default_section="\n")
     try:
         parser.read_file(lines)
     except configparser.DuplicateSectionError as e:
-        raise ConfigError(f"line {e.lineno}: duplicate section [{e.section}]") from None
+        raise EewsimError(f"line {e.lineno}: duplicate section [{e.section}]") from None
     except configparser.DuplicateOptionError as e:
-        raise ConfigError(f"line {e.lineno}: duplicate key [{e.section}] {e.option}") from None
+        raise EewsimError(f"line {e.lineno}: duplicate key [{e.section}] {e.option}") from None
     except configparser.MissingSectionHeaderError as e:
-        raise ConfigError(
+        raise EewsimError(
             f"line {e.lineno}: expected a [section] header, got {e.line.strip()!r}"
         ) from None
     except configparser.ParsingError as e:
         lineno = e.errors[0][0]
-        raise ConfigError(
+        raise EewsimError(
             f"line {lineno}: expected 'key = value', got {lines[lineno - 1].strip()!r}"
         ) from None
     for section in parser.sections():
         if section not in _KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser.options(section):
+            raise EewsimError(f"unknown section [{section}]")
+        for key, value in parser.items(section):
             if key not in _KEYS[section]:
-                raise ConfigError(f"unknown key [{section}] {key}")
+                raise EewsimError(f"unknown key [{section}] {key}")
+            if "\n" in value:
+                raise EewsimError(
+                    f"[{section}] {key}: an indented line continues its value, got {value!r}"
+                )
     return parser
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file.
 
-    Every error is a ConfigError that names the file once (see
+    Every error is an EewsimError that names the file once (see
     ``geo.read_input``).
     """
     path = Path(path)
@@ -209,17 +217,17 @@ def _parse(fh: IO[str], base: Path) -> RunConfig:
     catalog_path = path_of("catalog", "path")
     synth_n = _value(p, "catalog", "synth_n", int)
     if catalog_path is not None and synth_n is not None:
-        raise ConfigError("[catalog] give either path or synth_n, not both")
+        raise EewsimError("[catalog] give either path or synth_n, not both")
     if catalog_path is None and synth_n is None:
-        raise ConfigError("[catalog] needs a path or a synth_n")
+        raise EewsimError("[catalog] needs a path or a synth_n")
     if synth_n is not None and synth_n < 1:
-        raise ConfigError("[catalog] synth_n must be >= 1")
+        raise EewsimError("[catalog] synth_n must be >= 1")
     synth_seed = _value(p, "catalog", "synth_seed", int, 0)
     if synth_seed < 0:
-        raise ConfigError("[catalog] synth_seed must be >= 0")
+        raise EewsimError("[catalog] synth_seed must be >= 0")
     hist_width_s = _value(p, "warning", "hist_width_s", float, 1.0)
     if not 0 < hist_width_s < math.inf:
-        raise ConfigError("[warning] hist_width_s must be finite and > 0")
+        raise EewsimError("[warning] hist_width_s must be finite and > 0")
 
     return RunConfig(
         earthquake=_params(p, "scenario", Earthquake, epicenter=epicenter),

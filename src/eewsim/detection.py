@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsortedInput
+from .errors import EewsimError
 from .geo import GeoPoint, haversine_km
 from .network import Network, SeedSpec, STREAM_TRIGGERS
 from .scenario import Earthquake, VelocityModel, p_arrivals_s
@@ -126,7 +126,7 @@ def detect(triggers: Triggers, dp: DetectorParams) -> Detection | None:
     """
     t = triggers.times
     if (t[1:] < t[:-1]).any():
-        raise UnsortedInput("triggers must be sorted ascending by time")
+        raise EewsimError("triggers must be sorted ascending by time")
     k = dp.k_min
     if t.size < k:
         return None

@@ -18,16 +18,7 @@ from typing import IO, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    EewsimError,
-    EmptyBins,
-    IndexOutOfRange,
-    MalformedHeader,
-    NonFiniteValue,
-    OutOfRangeCoordinate,
-)
+from .errors import EewsimError
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -60,11 +51,9 @@ class GeoPoint:
 
     def __post_init__(self):
         if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise OutOfRangeCoordinate(
-                f"non-finite coordinate ({self.lat}, {self.lon})"
-            )
+            raise EewsimError(f"non-finite coordinate ({self.lat}, {self.lon})")
         if not -90.0 <= self.lat <= 90.0:
-            raise OutOfRangeCoordinate(f"latitude {self.lat} outside [-90, 90]")
+            raise EewsimError(f"latitude {self.lat} outside [-90, 90]")
         object.__setattr__(self, "lat", float(self.lat))
         object.__setattr__(self, "lon", normalize_lon(float(self.lon)))
 
@@ -87,21 +76,17 @@ class Grid:
 
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
-            raise DimensionMismatch(
-                f"grid dimensions must be positive, got {self.nrows}x{self.ncols}"
-            )
+            raise EewsimError(f"grid dimensions must be positive, got {self.nrows}x{self.ncols}")
         if not (math.isfinite(self.cellsize) and self.cellsize > 0):
             raise ValueError(f"cellsize must be positive, got {self.cellsize}")
         if not math.isfinite(self.nodata):
-            raise NonFiniteValue(f"nodata sentinel must be finite, got {self.nodata}")
+            raise EewsimError(f"nodata sentinel must be finite, got {self.nodata}")
         vals = np.array(self.values, dtype=np.float64)
         if vals.size != self.nrows * self.ncols:
-            raise DimensionMismatch(
-                f"expected {self.nrows * self.ncols} values, got {vals.size}"
-            )
+            raise EewsimError(f"expected {self.nrows * self.ncols} values, got {vals.size}")
         vals = vals.reshape(self.nrows, self.ncols)
         if not np.isfinite(vals[vals != self.nodata]).all():
-            raise NonFiniteValue("grid contains non-finite values")
+            raise EewsimError("grid contains non-finite values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -216,22 +201,22 @@ def physical_lines(text: str) -> list[str]:
 def read_input(path: Path, what: str, parse: Callable[[IO[str]], T]) -> T:
     """``parse`` applied to the UTF-8 text file at ``path``.
 
-    Every failure is a ConfigError that names the file once: a missing
+    Every failure is an EewsimError that names the file once: a missing
     file (``<what> file not found: <path>``), a byte that is not UTF-8
     (``<path>: not UTF-8 text (byte 0x..: reason)``), and any EewsimError
     or ValueError that ``parse`` raises, prefixed with ``<path>: ``.
     """
     if not path.is_file():
-        raise ConfigError(f"{what} file not found: {path}")
+        raise EewsimError(f"{what} file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh)
     except UnicodeDecodeError as e:
-        raise ConfigError(
+        raise EewsimError(
             f"{path}: not UTF-8 text (byte {e.object[e.start]:#x}: {e.reason})"
         ) from None
     except (EewsimError, ValueError) as e:
-        raise ConfigError(f"{path}: {e}") from None
+        raise EewsimError(f"{path}: {e}") from None
 
 
 def _csv_field(x) -> str:
@@ -278,35 +263,35 @@ def parse_ascii_grid(source: str | IO[str] | Iterable[str]) -> Grid:
             body_start = i
             break
         if len(parts) != 2:
-            raise MalformedHeader(f"header line {i + 1}: expected 'key value', got {line!r}")
+            raise EewsimError(f"header line {i + 1}: expected 'key value', got {line!r}")
         if key in header:
-            raise MalformedHeader(f"duplicate header {parts[0]!r}")
+            raise EewsimError(f"duplicate header {parts[0]!r}")
         try:
             header[key] = float(parts[1])
         except ValueError:
-            raise MalformedHeader(f"header {parts[0]!r}: cannot parse {parts[1]!r}") from None
+            raise EewsimError(f"header {parts[0]!r}: cannot parse {parts[1]!r}") from None
         body_start = i + 1
 
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
-        raise MalformedHeader(f"missing header(s): {', '.join(missing)}")
+        raise EewsimError(f"missing header(s): {', '.join(missing)}")
     for key in ("ncols", "nrows"):
         if header[key] != int(header[key]) or header[key] < 1:
-            raise MalformedHeader(f"header {key} must be a positive integer")
+            raise EewsimError(f"header {key} must be a positive integer")
 
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     values = read_float_rows(lines[body_start:])
     # where numpy's reader fails (ragged rows, a number only float takes), split into tokens
     values = "\n".join(lines[body_start:]).split() if values is None else values.ravel()
     if len(values) != nrows * ncols:
-        raise DimensionMismatch(
+        raise EewsimError(
             f"expected {nrows * ncols} values for a {nrows}x{ncols} grid, got {len(values)}"
         )
     try:
         values = np.asarray(values, dtype=np.float64)
     except ValueError:
         bad = next(t for t in values if not _is_number(t))
-        raise NonFiniteValue(f"grid value {bad!r} is not a number") from None
+        raise EewsimError(f"grid value {bad!r} is not a number") from None
     return Grid(
         ncols=ncols,
         nrows=nrows,
@@ -378,9 +363,7 @@ def format_ascii_grid(grid: Grid) -> str:
 def cell_center(grid: Grid, row: int, col: int) -> GeoPoint:
     """Center coordinate of the cell at (row, col), row 0 being northernmost."""
     if not (0 <= row < grid.nrows and 0 <= col < grid.ncols):
-        raise IndexOutOfRange(
-            f"cell ({row}, {col}) outside {grid.nrows}x{grid.ncols} grid"
-        )
+        raise EewsimError(f"cell ({row}, {col}) outside {grid.nrows}x{grid.ncols} grid")
     return GeoPoint(grid.row_lat(row), grid.col_lon(col))
 
 
@@ -526,7 +509,7 @@ def exposure_histogram(
     a nodata intensity cell are excluded.
     """
     if not bins:
-        raise EmptyBins("exposure_histogram needs at least one bin")
+        raise EewsimError("exposure_histogram needs at least one bin")
     check_disjoint_bins(bins)
 
     _, _, samples, matched = match_cells(pop, mmi)

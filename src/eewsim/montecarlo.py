@@ -17,7 +17,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .detection import DetectorParams, PhoneParams, detect, detection_metrics, simulate_triggers
-from .errors import EmptyInput, KernelUnderflow, NoDetections
+from .errors import EewsimError
 from .geo import GeoPoint, Grid, cell_center, format_csv, normalize_lon, physical_lines
 from .network import Catalog, SeedSpec, sample_network
 from .scenario import Earthquake, VelocityModel
@@ -71,12 +71,19 @@ def percentile(values: Iterable[float], p: float) -> float:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
     v = sorted(float(x) for x in values)
     if not v:
-        raise EmptyInput("percentile of an empty collection")
+        raise EewsimError("percentile of an empty collection")
     h = (len(v) - 1) * p / 100.0
     i = math.floor(h)
     if i >= len(v) - 1:
         return v[-1]
     return v[i] + (h - i) * (v[i + 1] - v[i])
+
+
+def mean_band(values: list[float]) -> tuple[float | None, float | None, float | None]:
+    """(mean, 2.5th, 97.5th percentile) of ``values``; three Nones when there are none."""
+    if not values:
+        return None, None, None
+    return fmean(values), percentile(values, 2.5), percentile(values, 97.5)
 
 
 def run_replica(
@@ -103,25 +110,8 @@ def summarize(n: int, runs: np.recarray) -> McSummary:
     """Fold one n's replicas into an McSummary (replica order independent)."""
     detected = runs[runs.detected]
     rate = len(detected) / len(runs) if len(runs) else 0.0
-    if not len(detected):
-        return McSummary(
-            n=n, replicas=len(runs), detect_rate=rate,
-            delay_mean_s=None, delay_lo_s=None, delay_hi_s=None,
-            dist_mean_km=None, dist_lo_km=None, dist_hi_km=None,
-        )
-    delays = detected.delay_s.tolist()
-    dists = detected.distance_km.tolist()
-    return McSummary(
-        n=n,
-        replicas=len(runs),
-        detect_rate=rate,
-        delay_mean_s=fmean(delays),
-        delay_lo_s=percentile(delays, 2.5),
-        delay_hi_s=percentile(delays, 97.5),
-        dist_mean_km=fmean(dists),
-        dist_lo_km=percentile(dists, 2.5),
-        dist_hi_km=percentile(dists, 97.5),
-    )
+    return McSummary(n, len(runs), rate, *mean_band(detected.delay_s.tolist()),
+                     *mean_band(detected.distance_km.tolist()))
 
 
 def run_campaign(
@@ -198,13 +188,13 @@ def detection_density(
     the writer puts a literal ``0.0`` for each flushed cell.
 
     The density is then renormalized so cell-sum * cell-area == 1 over the
-    grid; KernelUnderflow is raised when no kernel mass is left on it.
+    grid; EewsimError is raised when no kernel mass is left on it.
     The mode is the center of the maximum-density cell; ties resolve to the
     smallest row, then column.
     """
     detected = runs[runs.detected]
     if not len(detected):
-        raise NoDetections("no detected replica to estimate a density from")
+        raise EewsimError("no detected replica to estimate a density from")
     lats, lons = detected.lat.copy(), detected.lon.copy()
 
     h = bandwidth_deg if bandwidth_deg is not None else silverman_bandwidth_deg(lats, lons)
@@ -219,7 +209,7 @@ def detection_density(
 
     total = dens.sum() * like.cell_area_deg2
     if total <= 0:
-        raise KernelUnderflow(
+        raise EewsimError(
             f"density kernel mass underflowed to zero on the evaluation grid "
             f"(bandwidth {h!r} deg)"
         )

@@ -18,14 +18,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import (
-    AllZeroPopulation,
-    EmptyCatalog,
-    MalformedRow,
-    NTooLarge,
-    NZero,
-    OutOfRangeCoordinate,
-)
+from .errors import EewsimError
 from .geo import Grid, normalize_lon, read_float_rows
 
 # substream tags; never reuse a value for a new purpose
@@ -65,9 +58,9 @@ def _coord_arrays(lats, lons) -> tuple[np.ndarray, np.ndarray]:
     if lats.shape != lons.shape or lats.ndim != 1:
         raise ValueError("lats and lons must be 1-D arrays of equal length")
     if not (np.isfinite(lats).all() and np.isfinite(lons).all()):
-        raise OutOfRangeCoordinate("non-finite coordinate in catalog")
+        raise EewsimError("non-finite coordinate in catalog")
     if lats.size and (lats.min() < -90.0 or lats.max() > 90.0):
-        raise OutOfRangeCoordinate("latitude outside [-90, 90] in catalog")
+        raise EewsimError("latitude outside [-90, 90] in catalog")
     lons = normalize_lon(lons)
     lats.setflags(write=False)
     lons.setflags(write=False)
@@ -84,7 +77,7 @@ class Catalog:
     def __post_init__(self):
         lats, lons = _coord_arrays(self.lats, self.lons)
         if lats.size < 1:
-            raise EmptyCatalog("catalog holds no points")
+            raise EewsimError("catalog holds no points")
         object.__setattr__(self, "lats", lats)
         object.__setattr__(self, "lons", lons)
 
@@ -128,9 +121,9 @@ def load_catalog(source: str | IO[str] | Iterable[str], origin: str = "catalog")
         if header:
             break
     else:
-        raise EmptyCatalog(f"{origin}: file is empty")
+        raise EewsimError(f"{origin}: file is empty")
     if [c.strip().lower() for c in header.split(",")] != ["lat", "lon"]:
-        raise MalformedRow(f"{origin} line {header_no}: expected header 'lat,lon', got {header!r}")
+        raise EewsimError(f"{origin} line {header_no}: expected header 'lat,lon', got {header!r}")
 
     chunks = []
     first_lineno = header_no + 1
@@ -139,7 +132,7 @@ def load_catalog(source: str | IO[str] | Iterable[str], origin: str = "catalog")
         first_lineno += len(chunk)
     vals = np.concatenate(chunks) if chunks else np.empty((0, 2))
     if not vals.size:
-        raise EmptyCatalog(f"{origin}: no data rows")
+        raise EewsimError(f"{origin}: no data rows")
     return Catalog(lats=vals[:, 0], lons=vals[:, 1])
 
 
@@ -162,15 +155,15 @@ def _parse_lines(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise MalformedRow(f"{origin} line {lineno}: expected 'lat,lon', got {line!r}")
+            raise EewsimError(f"{origin} line {lineno}: expected 'lat,lon', got {line!r}")
         try:
             lat, lon = map(float, parts)
         except ValueError:
-            raise MalformedRow(f"{origin} line {lineno}: cannot parse {line!r}") from None
+            raise EewsimError(f"{origin} line {lineno}: cannot parse {line!r}") from None
         if not (math.isfinite(lat) and math.isfinite(lon)):
-            raise OutOfRangeCoordinate(f"{origin} line {lineno}: non-finite coordinate")
+            raise EewsimError(f"{origin} line {lineno}: non-finite coordinate")
         if not -90.0 <= lat <= 90.0:
-            raise OutOfRangeCoordinate(f"{origin} line {lineno}: latitude {lat} outside [-90, 90]")
+            raise EewsimError(f"{origin} line {lineno}: latitude {lat} outside [-90, 90]")
         rows.append((lat, lon))
     return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
@@ -185,11 +178,11 @@ def synth_catalog(pop: Grid, n_points: int, seed: int) -> Catalog:
     Deterministic for a given (grid, n_points, seed).
     """
     if n_points < 1:
-        raise EmptyCatalog(f"n_points must be >= 1, got {n_points}")
+        raise EewsimError(f"n_points must be >= 1, got {n_points}")
     weights = np.where(pop.mask & (pop.values > 0), pop.values, 0.0).ravel()
     total = weights.sum()
     if total <= 0:
-        raise AllZeroPopulation("population grid has no cell with positive population")
+        raise EewsimError("population grid has no cell with positive population")
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, STREAM_SYNTH))))
     flat = rng.choice(weights.size, size=n_points, replace=True, p=weights / total)
@@ -214,9 +207,9 @@ def sample_network(cat: Catalog, n: int, seed: SeedSpec) -> Network:
     """
     N = len(cat)
     if n < 1:
-        raise NZero(f"network size must be >= 1, got {n}")
+        raise EewsimError(f"network size must be >= 1, got {n}")
     if n > N:
-        raise NTooLarge(f"network size {n} exceeds catalog size {N}")
+        raise EewsimError(f"network size {n} exceeds catalog size {N}")
     rng = seed.generator(STREAM_NETWORK)
     steps = np.arange(n)
     js = rng.integers(steps, N)

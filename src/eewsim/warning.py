@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .detection import Detection
-from .errors import EmptyBins, EmptyInput, NoDetections
+from .errors import EewsimError
 from .geo import Grid, MmiBin, check_disjoint_bins, format_csv, match_cells
-from .montecarlo import DensityGrid, detection_density, percentile
+from .montecarlo import DensityGrid, detection_density, mean_band
 from .scenario import Earthquake, VelocityModel, s_arrivals_s
 
 
@@ -80,7 +80,7 @@ def weighted_percentile(values, weights, p: float) -> float:
     keep = w > 0
     v, w = v[keep], w[keep]
     if v.size == 0:
-        raise EmptyInput("weighted percentile of an empty collection")
+        raise EewsimError("weighted percentile of an empty collection")
     order = np.argsort(v, kind="stable")
     cum = np.cumsum(w[order])
     # compare cum/total >= p/100 as cum*100 >= total*p: single products keep
@@ -113,7 +113,7 @@ def warning_field(
 ) -> WarningField:
     """Each bin's cells that take part, in row-major order, and their S arrivals."""
     if not bins:
-        raise EmptyBins("need at least one intensity bin")
+        raise EewsimError("need at least one intensity bin")
     check_disjoint_bins(bins)
     lat2, lon2, samples, matched = match_cells(pop, mmi)
     usable = matched & (pop.values > 0)
@@ -218,13 +218,9 @@ def warning_vs_n(
     for n in n_order:
         times = eq.origin_time_s + runs.delay_s[(runs.n == n) & runs.detected]
         for b, consts in zip(field.bins, s_stats):
-            if not times.size or consts is None:
-                rows += [WarningBand(n, b, stat, None, None, None) for stat in stats]
-                continue
-            for stat, c in zip(stats, consts):
-                vals = (c - times - ap.dissemination_latency_s).tolist()
-                rows.append(WarningBand(n, b, stat, fmean(vals), percentile(vals, 2.5),
-                                        percentile(vals, 97.5)))
+            for stat, c in zip(stats, consts or (None, None, None)):
+                vals = [] if c is None else (c - times - ap.dissemination_latency_s).tolist()
+                rows.append(WarningBand(n, b, stat, *mean_band(vals)))
     return rows
 
 
@@ -244,7 +240,7 @@ def mode_conditioned_detection(
     mine = runs[runs.n == n]
     delays = mine.delay_s[mine.detected]
     if not delays.size:
-        raise NoDetections(f"no detected replica at n={n}")
+        raise EewsimError(f"no detected replica at n={n}")
     density = detection_density(mine, like, bandwidth_deg)
     mean_time = eq.origin_time_s + fmean(delays.tolist())
     det = Detection(time_s=mean_time, location=density.mode, contributing=())

@@ -176,6 +176,18 @@ class TestSimulate:
         out = rundir / "out"
         assert not out.exists() or not any(out.iterdir())
 
+    def test_undetectable_n_skips_its_density_grid(self, rundir, capsys):
+        # three phones can never give k_min = 5 triggers, so no n=3 replica detects
+        cfg = CONFIG.replace("k_min = 3", "k_min = 5").replace("n_grid = 10", "n_grid = 3,10")
+        (rundir / "run.ini").write_text(cfg, encoding="utf-8")
+        assert main(["simulate", "--config", str(rundir / "run.ini")]) == 0
+        assert "n=3: no detections, skipping density grid" in capsys.readouterr().err.splitlines()
+        assert not (rundir / "out" / "density_n3.asc").exists()
+        assert (rundir / "out" / "density_n10.asc").is_file()
+        summary = read(rundir, "summary.csv").splitlines()
+        assert summary[1] == "3,5,0.0,,,,,,"
+        assert summary[2].startswith("10,5,")
+
     def test_density_grid_normalized(self, rundir):
         assert run(rundir, "simulate") == 0
         g = parse_ascii_grid(read(rundir, "density_n10.asc"))
@@ -526,8 +538,13 @@ class TestBadConfig:
          "non-finite coordinate (18.3, inf)"),
         (CONFIG.replace("depth_km = 5.0", "depth_km = 5%"),
          "[scenario] depth_km must be a number, got '5%'"),
+        ("[DEFAULT]\nk_min = 3\n" + CONFIG, "unknown section [DEFAULT]"),
+        ("[DEFAULT]\n" + CONFIG, "unknown section [DEFAULT]"),
+        (CONFIG.replace("mmi_grid = mmi.asc\n", "mmi_grid = mmi.asc\n  extra\n"),
+         "[inputs] mmi_grid: an indented line continues its value, got 'mmi.asc\\nextra'"),
     ], ids=["duplicate-section", "duplicate-key", "no-header", "junk-line", "latitude-91",
-            "longitude-inf", "percent-in-number"])
+            "longitude-inf", "percent-in-number", "default-section", "empty-default-section",
+            "continuation-line"])
     def test_config_error_names_file_once(self, rundir, capsys, text, message):
         path = rundir / "run.ini"
         path.write_text(text, encoding="utf-8")

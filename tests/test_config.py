@@ -6,7 +6,7 @@ import pytest
 
 from eewsim import config
 from eewsim.config import DEFAULT_N_GRID, apply_overrides, load_config
-from eewsim.errors import ConfigError
+from eewsim.errors import EewsimError
 from eewsim.geo import MmiBin
 
 MINIMAL = """\
@@ -28,6 +28,13 @@ def write_config(tmp_path: Path, text: str) -> Path:
     path = tmp_path / "run.ini"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def assert_rejected(tmp_path: Path, text: str, message: str) -> None:
+    """load_config on ``text`` raises EewsimError saying exactly ``<path>: <message>``."""
+    path = write_config(tmp_path, text)
+    with pytest.raises(EewsimError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_config(path)
 
 
 class TestLoadConfig:
@@ -75,53 +82,52 @@ directory = results
         assert cfg.out_dir == tmp_path / "results"
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
-            load_config(tmp_path / "nope.ini")
+        missing = tmp_path / "nope.ini"
+        message = f"config file not found: {missing}"
+        with pytest.raises(EewsimError, match=f"^{re.escape(message)}$"):
+            load_config(missing)
 
     def test_missing_required_key(self, tmp_path):
         bad = MINIMAL.replace("epicenter_lat = 18.457\n", "")
-        with pytest.raises(ConfigError, match="epicenter_lat"):
-            load_config(write_config(tmp_path, bad))
+        assert_rejected(tmp_path, bad, "missing required key [scenario] epicenter_lat")
 
     def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown key"):
-            load_config(write_config(tmp_path, MINIMAL + "\n[phone]\ntypo = 1\n"))
+        assert_rejected(tmp_path, MINIMAL + "\n[phone]\ntypo = 1\n", "unknown key [phone] typo")
 
     def test_unknown_section_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown section"):
-            load_config(write_config(tmp_path, MINIMAL + "\n[phones]\np_detect = 1\n"))
+        assert_rejected(tmp_path, MINIMAL + "\n[phones]\np_detect = 1\n",
+                        "unknown section [phones]")
+
+    def test_indented_comment_is_no_continuation(self, tmp_path):
+        text = MINIMAL.replace("mmi_grid = mmi.asc\n", "mmi_grid = mmi.asc\n  # a note\n")
+        assert load_config(write_config(tmp_path, text)).mmi_grid == tmp_path / "mmi.asc"
 
     def test_catalog_path_and_synth_conflict(self, tmp_path):
         text = MINIMAL.replace("synth_n = 100", "synth_n = 100\npath = cat.csv")
-        with pytest.raises(ConfigError, match="not both"):
-            load_config(write_config(tmp_path, text))
+        assert_rejected(tmp_path, text, "[catalog] give either path or synth_n, not both")
 
     def test_catalog_required(self, tmp_path):
         text = MINIMAL.replace("[catalog]\nsynth_n = 100\n", "")
-        with pytest.raises(ConfigError, match="catalog"):
-            load_config(write_config(tmp_path, text))
+        assert_rejected(tmp_path, text, "[catalog] needs a path or a synth_n")
 
     def test_negative_synth_seed_rejected(self, tmp_path):
         text = MINIMAL.replace("synth_n = 100", "synth_n = 100\nsynth_seed = -1")
-        with pytest.raises(ConfigError, match=r"\[catalog\] synth_seed must be >= 0"):
-            load_config(write_config(tmp_path, text))
+        assert_rejected(tmp_path, text, "[catalog] synth_seed must be >= 0")
         text = MINIMAL.replace("synth_n = 100", "synth_n = 100\nsynth_seed = 0")
         assert load_config(write_config(tmp_path, text)).synth_seed == 0
 
     def test_overlapping_bins_rejected(self, tmp_path):
         text = MINIMAL + "\n[warning]\nmmi_bins = (6,8] (7,9]\n"
-        with pytest.raises(ConfigError, match="overlap"):
-            load_config(write_config(tmp_path, text))
+        assert_rejected(tmp_path, text,
+                        "[warning] mmi_bins: intensity bins (6,8] and (7,9] overlap")
 
     def test_duplicate_n_grid_rejected(self, tmp_path):
         text = MINIMAL + "\n[campaign]\nn_grid = 10, 10\n"
-        with pytest.raises(ConfigError, match="duplicates"):
-            load_config(write_config(tmp_path, text))
+        assert_rejected(tmp_path, text, "[campaign] n_grid contains duplicates")
 
     def test_bad_number_diagnostic_names_key(self, tmp_path):
         text = MINIMAL.replace("depth_km = 10.0", "depth_km = ten")
-        with pytest.raises(ConfigError, match=r"\[scenario\] depth_km"):
-            load_config(write_config(tmp_path, text))
+        assert_rejected(tmp_path, text, "[scenario] depth_km must be a number, got 'ten'")
 
     @pytest.mark.parametrize("raw", ["cat%1.csv", "a%%b.csv", "%(x)s.csv"])
     def test_percent_is_literal(self, tmp_path, raw):
@@ -151,7 +157,7 @@ class TestOverrides:
 
     def test_bad_overrides(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
-        with pytest.raises(ConfigError):
+        with pytest.raises(EewsimError, match=r"^--replicas must be >= 1, got 0$"):
             apply_overrides(cfg, replicas=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(EewsimError, match=r"^--seed must fit in 64 bits, got -1$"):
             apply_overrides(cfg, seed=-1)

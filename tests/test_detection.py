@@ -11,7 +11,7 @@ from eewsim.detection import (
     detection_metrics,
     simulate_triggers,
 )
-from eewsim.errors import UnsortedInput
+from eewsim.errors import EewsimError
 from eewsim.geo import GeoPoint
 from eewsim.network import Catalog, Network, SeedSpec, sample_network
 from eewsim.scenario import Earthquake, VelocityModel, p_arrivals_s
@@ -147,7 +147,7 @@ class TestDetect:
         assert detect(triggers_at([0.0, 0.999]), dp) is not None
 
     def test_unsorted_rejected(self):
-        with pytest.raises(UnsortedInput):
+        with pytest.raises(EewsimError, match=r"^triggers must be sorted ascending by time$"):
             detect(triggers_at([2, 1, 3]), DetectorParams(k_min=2, window_s=5))
 
     def test_median_location_odd_and_even(self):

@@ -9,14 +9,7 @@ from statistics import fmean
 import numpy as np
 
 from eewsim.detection import Triggers
-from eewsim.errors import (
-    DimensionMismatch,
-    EmptyCatalog,
-    MalformedHeader,
-    MalformedRow,
-    NonFiniteValue,
-    OutOfRangeCoordinate,
-)
+from eewsim.errors import EewsimError
 from eewsim.geo import _HEADER_KEYS, GeoPoint, Grid, _as_text, _is_number
 from eewsim.montecarlo import RUNS_DTYPE, _runs, percentile, silverman_bandwidth_deg
 from eewsim.network import Catalog
@@ -165,28 +158,28 @@ def load_catalog_oracle(source, origin: str = "catalog") -> Catalog:
 
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
     if not rows:
-        raise EmptyCatalog(f"{origin}: file is empty")
+        raise EewsimError(f"{origin}: file is empty")
     header_no, header = rows[0]
     if [c.strip().lower() for c in header.split(",")] != ["lat", "lon"]:
-        raise MalformedRow(f"{origin} line {header_no}: expected header 'lat,lon', got {header!r}")
+        raise EewsimError(f"{origin} line {header_no}: expected header 'lat,lon', got {header!r}")
     body = rows[1:]
     if not body:
-        raise EmptyCatalog(f"{origin}: no data rows")
+        raise EewsimError(f"{origin}: no data rows")
 
     lats = np.empty(len(body))
     lons = np.empty(len(body))
     for k, (lineno, line) in enumerate(body):
         parts = line.split(",")
         if len(parts) != 2:
-            raise MalformedRow(f"{origin} line {lineno}: expected 'lat,lon', got {line!r}")
+            raise EewsimError(f"{origin} line {lineno}: expected 'lat,lon', got {line!r}")
         try:
             lat, lon = float(parts[0]), float(parts[1])
         except ValueError:
-            raise MalformedRow(f"{origin} line {lineno}: cannot parse {line!r}") from None
+            raise EewsimError(f"{origin} line {lineno}: cannot parse {line!r}") from None
         if not (math.isfinite(lat) and math.isfinite(lon)):
-            raise OutOfRangeCoordinate(f"{origin} line {lineno}: non-finite coordinate")
+            raise EewsimError(f"{origin} line {lineno}: non-finite coordinate")
         if not -90.0 <= lat <= 90.0:
-            raise OutOfRangeCoordinate(
+            raise EewsimError(
                 f"{origin} line {lineno}: latitude {lat} outside [-90, 90]"
             )
         lats[k] = lat
@@ -213,32 +206,32 @@ def parse_ascii_grid_oracle(source) -> Grid:
             body_start = i
             break
         if len(parts) != 2:
-            raise MalformedHeader(f"header line {i + 1}: expected 'key value', got {line!r}")
+            raise EewsimError(f"header line {i + 1}: expected 'key value', got {line!r}")
         if key in header:
-            raise MalformedHeader(f"duplicate header {parts[0]!r}")
+            raise EewsimError(f"duplicate header {parts[0]!r}")
         try:
             header[key] = float(parts[1])
         except ValueError:
-            raise MalformedHeader(f"header {parts[0]!r}: cannot parse {parts[1]!r}") from None
+            raise EewsimError(f"header {parts[0]!r}: cannot parse {parts[1]!r}") from None
         body_start = i + 1
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
-        raise MalformedHeader(f"missing header(s): {', '.join(missing)}")
+        raise EewsimError(f"missing header(s): {', '.join(missing)}")
     for key in ("ncols", "nrows"):
         if header[key] != int(header[key]) or header[key] < 1:
-            raise MalformedHeader(f"header {key} must be a positive integer")
+            raise EewsimError(f"header {key} must be a positive integer")
 
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     tokens = "\n".join(lines[body_start:]).split()
     if len(tokens) != nrows * ncols:
-        raise DimensionMismatch(
+        raise EewsimError(
             f"expected {nrows * ncols} values for a {nrows}x{ncols} grid, got {len(tokens)}"
         )
     try:
         values = np.array(tokens, dtype=np.float64)
     except ValueError:
         bad = next(t for t in tokens if not _is_number(t))
-        raise NonFiniteValue(f"grid value {bad!r} is not a number") from None
+        raise EewsimError(f"grid value {bad!r} is not a number") from None
     return Grid(
         ncols=ncols, nrows=nrows, xll=header["xllcorner"], yll=header["yllcorner"],
         cellsize=header["cellsize"], nodata=header["nodata_value"], values=values,

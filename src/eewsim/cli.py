@@ -20,7 +20,6 @@ import sys
 import traceback
 from functools import cached_property
 from pathlib import Path
-from statistics import fmean
 from typing import Sequence
 
 import numpy as np
@@ -165,7 +164,7 @@ def cmd_warn(run: _Run) -> None:
     n_max = int(runs.n.max())
     delays = runs.delay_s[(runs.n == n_max) & runs.detected]
     if delays.size:
-        time_s = cfg.earthquake.origin_time_s + fmean(delays.tolist())
+        time_s = cfg.earthquake.origin_time_s + montecarlo.mean(delays.tolist())
     else:
         time_s = None
         run.say(f"n={n_max}: no detections, writing empty warning_hist.csv")

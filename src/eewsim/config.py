@@ -12,14 +12,13 @@ section's keys: each one's name, type and default is its field's.
 from __future__ import annotations
 
 import configparser
-import math
 from configparser import ConfigParser
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import IO, get_type_hints
 
 from .detection import DetectorParams, PhoneParams
-from .errors import EewsimError
+from .errors import EewsimError, in_range
 from .geo import DEFAULT_MMI_BINS, GeoPoint, MmiBin, check_disjoint_bins, read_input
 from .scenario import Earthquake, VelocityModel
 from .warning import AlertParams
@@ -81,18 +80,22 @@ class RunConfig:
     out_dir: Path
 
 
-def _value(parser: ConfigParser, section: str, key: str, kind=str, default=None):
-    """``[section] key`` read by ``kind`` (a type or a parser), or ``default`` when absent."""
+def _value(parser: ConfigParser, section: str, key: str, kind=str, default=None, **bounds):
+    """``[section] key`` read by ``kind`` (a type or a parser), or ``default`` when absent.
+
+    A value read is checked against ``bounds``, the keywords of ``in_range``.
+    """
     if not parser.has_option(section, key):
         if default is _REQUIRED:
             raise EewsimError(f"missing required key [{section}] {key}")
         return default
     raw = parser.get(section, key)
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise EewsimError(f"[{section}] {key} must be {noun}, got {raw!r}") from None
+    return in_range(f"[{section}] {key}", value, **bounds) if bounds else value
 
 
 def _params(parser: ConfigParser, section: str, cls, **fixed):
@@ -110,27 +113,14 @@ def _params(parser: ConfigParser, section: str, cls, **fixed):
     return cls(**fixed, **given)
 
 
-def _replicas(value: int, name: str) -> int:
-    if value < 1:
-        raise EewsimError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def _master_seed(value: int, name: str) -> int:
-    if not 0 <= value < 2**64:
-        raise EewsimError(f"{name} must fit in 64 bits, got {value}")
-    return value
-
-
 def _parse_n_grid(raw: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(t) for t in raw.replace(",", " ").split())
+        values = tuple(in_range("[campaign] n_grid value", int(t), 1)
+                       for t in raw.replace(",", " ").split())
     except ValueError:
         raise EewsimError("[campaign] n_grid must be a list of integers") from None
     if not values:
         raise EewsimError("[campaign] n_grid is empty")
-    if any(v < 1 for v in values):
-        raise EewsimError("[campaign] n_grid values must be >= 1")
     if len(set(values)) != len(values):
         raise EewsimError("[campaign] n_grid contains duplicates")
     return values
@@ -140,9 +130,9 @@ def _parse_bins(raw: str) -> tuple[MmiBin, ...]:
     try:
         bins = tuple(MmiBin.parse(tok) for tok in raw.split())
         if not bins:
-            raise ValueError("no bins given")
+            raise EewsimError("no bins given")
         check_disjoint_bins(bins)
-    except ValueError as e:
+    except EewsimError as e:
         raise EewsimError(f"[warning] mmi_bins: {e}") from None
     return bins
 
@@ -150,10 +140,7 @@ def _parse_bins(raw: str) -> tuple[MmiBin, ...]:
 def _parse_bandwidth(raw: str) -> float | None:
     if raw.strip().lower() == "auto":
         return None  # Silverman's rule
-    bandwidth = float(raw)
-    if not 0 < bandwidth < math.inf:
-        raise EewsimError("[density] bandwidth_deg must be finite and > 0, or 'auto'")
-    return bandwidth
+    return in_range("[density] bandwidth_deg", float(raw), 0, lo_open=True)
 
 
 def _read_ini(fh: IO[str]) -> ConfigParser:
@@ -215,19 +202,11 @@ def _parse(fh: IO[str], base: Path) -> RunConfig:
     epicenter = GeoPoint(_value(p, "scenario", "epicenter_lat", float, _REQUIRED),
                          _value(p, "scenario", "epicenter_lon", float, _REQUIRED))
     catalog_path = path_of("catalog", "path")
-    synth_n = _value(p, "catalog", "synth_n", int)
+    synth_n = _value(p, "catalog", "synth_n", int, lo=1)
     if catalog_path is not None and synth_n is not None:
         raise EewsimError("[catalog] give either path or synth_n, not both")
     if catalog_path is None and synth_n is None:
         raise EewsimError("[catalog] needs a path or a synth_n")
-    if synth_n is not None and synth_n < 1:
-        raise EewsimError("[catalog] synth_n must be >= 1")
-    synth_seed = _value(p, "catalog", "synth_seed", int, 0)
-    if synth_seed < 0:
-        raise EewsimError("[catalog] synth_seed must be >= 0")
-    hist_width_s = _value(p, "warning", "hist_width_s", float, 1.0)
-    if not 0 < hist_width_s < math.inf:
-        raise EewsimError("[warning] hist_width_s must be finite and > 0")
 
     return RunConfig(
         earthquake=_params(p, "scenario", Earthquake, epicenter=epicenter),
@@ -239,14 +218,12 @@ def _parse(fh: IO[str], base: Path) -> RunConfig:
         mmi_grid=path_of("inputs", "mmi_grid", _REQUIRED),
         catalog_path=catalog_path,
         synth_n=synth_n,
-        synth_seed=synth_seed,
+        synth_seed=_value(p, "catalog", "synth_seed", int, 0, lo=0),
         n_grid=_value(p, "campaign", "n_grid", _parse_n_grid, DEFAULT_N_GRID),
-        replicas=_replicas(_value(p, "campaign", "replicas", int, DEFAULT_REPLICAS),
-                           "[campaign] replicas"),
-        master_seed=_master_seed(_value(p, "campaign", "master_seed", int, 0),
-                                 "[campaign] master_seed"),
+        replicas=_value(p, "campaign", "replicas", int, DEFAULT_REPLICAS, lo=1),
+        master_seed=_value(p, "campaign", "master_seed", int, 0, lo=0, hi=2**64, hi_open=True),
         mmi_bins=_value(p, "warning", "mmi_bins", _parse_bins, DEFAULT_MMI_BINS),
-        hist_width_s=hist_width_s,
+        hist_width_s=_value(p, "warning", "hist_width_s", float, 1.0, lo=0, lo_open=True),
         density_bandwidth_deg=_value(p, "density", "bandwidth_deg", _parse_bandwidth),
         out_dir=path_of("output", "directory", "out"),
     )
@@ -260,9 +237,9 @@ def apply_overrides(
 ) -> RunConfig:
     """Fold command-line overrides into a loaded config."""
     if seed is not None:
-        cfg = replace(cfg, master_seed=_master_seed(seed, "--seed"))
+        cfg = replace(cfg, master_seed=in_range("--seed", seed, 0, 2**64, hi_open=True))
     if out is not None:
         cfg = replace(cfg, out_dir=Path(out))
     if replicas is not None:
-        cfg = replace(cfg, replicas=_replicas(replicas, "--replicas"))
+        cfg = replace(cfg, replicas=in_range("--replicas", replicas, 1))
     return cfg

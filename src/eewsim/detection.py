@@ -20,13 +20,12 @@ with t[j-k_min+1] > t[j] - window_s.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EewsimError
+from .errors import EewsimError, in_range
 from .geo import GeoPoint, haversine_km
 from .network import Network, SeedSpec, STREAM_TRIGGERS
 from .scenario import Earthquake, VelocityModel, p_arrivals_s
@@ -41,12 +40,9 @@ class PhoneParams:
     delay_hi_s: float = 3.5
 
     def __post_init__(self):
-        if not 0.0 <= self.p_detect <= 1.0:
-            raise ValueError(f"p_detect must be in [0, 1], got {self.p_detect}")
-        if not 0.0 <= self.delay_lo_s <= self.delay_hi_s < math.inf:
-            raise ValueError(
-                f"need 0 <= delay_lo <= delay_hi < inf, got [{self.delay_lo_s}, {self.delay_hi_s}]"
-            )
+        in_range("p_detect", self.p_detect, 0, 1)
+        in_range("delay_lo_s", self.delay_lo_s, 0)
+        in_range("delay_hi_s", self.delay_hi_s, self.delay_lo_s)
 
 
 @dataclass(frozen=True)
@@ -57,10 +53,8 @@ class DetectorParams:
     window_s: float = 10.0
 
     def __post_init__(self):
-        if self.k_min < 2:
-            raise ValueError(f"k_min must be >= 2, got {self.k_min}")
-        if not (math.isfinite(self.window_s) and self.window_s > 0):
-            raise ValueError(f"window_s must be > 0, got {self.window_s}")
+        in_range("k_min", self.k_min, 2)
+        in_range("window_s", self.window_s, 0, lo_open=True)
 
 
 @dataclass(frozen=True, eq=False)

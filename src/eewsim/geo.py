@@ -18,7 +18,7 @@ from typing import IO, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import EewsimError
+from .errors import EewsimError, in_range
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -50,12 +50,8 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise EewsimError(f"non-finite coordinate ({self.lat}, {self.lon})")
-        if not -90.0 <= self.lat <= 90.0:
-            raise EewsimError(f"latitude {self.lat} outside [-90, 90]")
-        object.__setattr__(self, "lat", float(self.lat))
-        object.__setattr__(self, "lon", normalize_lon(float(self.lon)))
+        object.__setattr__(self, "lat", float(in_range("latitude", self.lat, -90, 90)))
+        object.__setattr__(self, "lon", normalize_lon(float(in_range("longitude", self.lon))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,12 +71,15 @@ class Grid:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.ncols < 1 or self.nrows < 1:
-            raise EewsimError(f"grid dimensions must be positive, got {self.nrows}x{self.ncols}")
-        if not (math.isfinite(self.cellsize) and self.cellsize > 0):
-            raise ValueError(f"cellsize must be positive, got {self.cellsize}")
-        if not math.isfinite(self.nodata):
-            raise EewsimError(f"nodata sentinel must be finite, got {self.nodata}")
+        in_range("ncols", self.ncols, 1)
+        in_range("nrows", self.nrows, 1)
+        in_range("cellsize", self.cellsize, 0, lo_open=True)
+        in_range("NODATA_value", self.nodata)
+        in_range("xllcorner", self.xll, -360, 360)  # either longitude convention, and a turn more
+        # every cell center lies on the globe, and no two of them coincide there
+        in_range("top row latitude", self.row_lat(0), hi=90)
+        in_range("bottom row latitude", self.row_lat(self.nrows - 1), lo=-90)
+        in_range("column center span", (self.ncols - 1) * self.cellsize, hi=360, hi_open=True)
         vals = np.array(self.values, dtype=np.float64)
         if vals.size != self.nrows * self.ncols:
             raise EewsimError(f"expected {self.nrows * self.ncols} values, got {vals.size}")
@@ -133,24 +132,24 @@ class Grid:
 
 
 def check_population_grid(grid: Grid) -> Grid:
-    """Population rasters must carry non-negative counts, none subnormal.
+    """Population rasters must carry counts in [0, 2**53], none subnormal.
 
-    A subnormal count (0 < p < 2**-1022) underflows in the products of a
-    population-weighted mean.
+    In the products of a population-weighted mean of S arrivals (each below
+    2**54 s) a subnormal count (0 < p < 2**-1022) underflows; none overflows.
     """
     data = grid.values[grid.mask]
-    if data.size and data.min() < 0:
-        raise ValueError("population grid holds negative values")
+    for x in (data.min(), data.max()) if data.size else ():
+        in_range("population grid value", float(x), 0, 2**53)
     if ((data > 0) & (data < np.finfo(np.float64).tiny)).any():
-        raise ValueError("population grid holds subnormal values (0 < p < 2**-1022)")
+        raise EewsimError("population grid holds subnormal values (0 < p < 2**-1022)")
     return grid
 
 
 def check_mmi_grid(grid: Grid) -> Grid:
     """Intensity rasters must stay on the 0..12 scale."""
     data = grid.values[grid.mask]
-    if data.size and (data.min() < 0 or data.max() > 12):
-        raise ValueError("MMI grid holds values outside [0, 12]")
+    for x in (data.min(), data.max()) if data.size else ():
+        in_range("MMI grid value", float(x), 0, 12)
     return grid
 
 
@@ -204,7 +203,7 @@ def read_input(path: Path, what: str, parse: Callable[[IO[str]], T]) -> T:
     Every failure is an EewsimError that names the file once: a missing
     file (``<what> file not found: <path>``), a byte that is not UTF-8
     (``<path>: not UTF-8 text (byte 0x..: reason)``), and any EewsimError
-    or ValueError that ``parse`` raises, prefixed with ``<path>: ``.
+    that ``parse`` raises, prefixed with ``<path>: ``.
     """
     if not path.is_file():
         raise EewsimError(f"{what} file not found: {path}")
@@ -215,7 +214,7 @@ def read_input(path: Path, what: str, parse: Callable[[IO[str]], T]) -> T:
         raise EewsimError(
             f"{path}: not UTF-8 text (byte {e.object[e.start]:#x}: {e.reason})"
         ) from None
-    except (EewsimError, ValueError) as e:
+    except EewsimError as e:
         raise EewsimError(f"{path}: {e}") from None
 
 
@@ -276,8 +275,8 @@ def parse_ascii_grid(source: str | IO[str] | Iterable[str]) -> Grid:
     if missing:
         raise EewsimError(f"missing header(s): {', '.join(missing)}")
     for key in ("ncols", "nrows"):
-        if header[key] != int(header[key]) or header[key] < 1:
-            raise EewsimError(f"header {key} must be a positive integer")
+        if in_range(f"header {key}", header[key], 1) % 1:
+            raise EewsimError(f"header {key} must be an integer, got {header[key]}")
 
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     values = read_float_rows(lines[body_start:])
@@ -373,14 +372,17 @@ def cell_indices(grid: Grid, lats, lons) -> tuple[np.ndarray, np.ndarray, np.nda
     Points on a shared cell edge land in the cell with the larger row/col
     index: columns are measured from the left edge and rows from the top
     edge, so flooring pushes boundary points east and south. Points on the
-    outer south or east edge therefore fall outside the grid.
+    outer south or east edge therefore fall outside the grid. A point
+    outside gets row and column 0: its index may not fit int64, or be inf.
     """
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
-    cols = np.floor((lons - grid.xll) / grid.cellsize)
     ytop = grid.yll + grid.nrows * grid.cellsize
-    rows = np.floor((ytop - lats) / grid.cellsize)
+    with np.errstate(over="ignore"):
+        cols = np.floor((lons - grid.xll) / grid.cellsize)
+        rows = np.floor((ytop - lats) / grid.cellsize)
     inside = (cols >= 0) & (cols < grid.ncols) & (rows >= 0) & (rows < grid.nrows)
+    rows, cols = np.where(inside, rows, 0), np.where(inside, cols, 0)
     return rows.astype(np.int64), cols.astype(np.int64), inside
 
 
@@ -419,10 +421,8 @@ class MmiBin:
     hi_open: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("bin edges must be finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"bin lo must be < hi, got [{self.lo}, {self.hi}]")
+        in_range("bin lo", self.lo)
+        in_range("bin hi", self.hi, self.lo, lo_open=True)
 
     def contains(self, m):
         """Membership test; works elementwise on numpy arrays."""
@@ -445,14 +445,14 @@ class MmiBin:
         """Parse the interval notation used in config files, e.g. ``(7.5,8]``."""
         s = text.strip()
         if len(s) < 5 or s[0] not in "([" or s[-1] not in ")]":
-            raise ValueError(f"cannot parse intensity bin {text!r}")
+            raise EewsimError(f"cannot parse intensity bin {text!r}")
         inner = s[1:-1].split(",")
         if len(inner) != 2:
-            raise ValueError(f"cannot parse intensity bin {text!r}")
+            raise EewsimError(f"cannot parse intensity bin {text!r}")
         try:
             lo, hi = float(inner[0]), float(inner[1])
         except ValueError:
-            raise ValueError(f"cannot parse intensity bin {text!r}") from None
+            raise EewsimError(f"cannot parse intensity bin {text!r}") from None
         return cls(lo=lo, hi=hi, lo_open=s[0] == "(", hi_open=s[-1] == ")")
 
 
@@ -469,11 +469,11 @@ DEFAULT_MMI_BINS = (
 
 
 def check_disjoint_bins(bins: Sequence[MmiBin]) -> None:
-    """Raise ValueError when any two bins overlap."""
+    """Raise EewsimError when any two bins overlap."""
     ordered = sorted(bins, key=lambda b: (b.lo, b.hi))
     for a, b in zip(ordered, ordered[1:]):
         if b.lo < a.hi or (b.lo == a.hi and not a.hi_open and not b.lo_open):
-            raise ValueError(f"intensity bins {a} and {b} overlap")
+            raise EewsimError(f"intensity bins {a} and {b} overlap")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .detection import DetectorParams, PhoneParams, detect, detection_metrics, simulate_triggers
-from .errors import EewsimError
+from .errors import EewsimError, in_range
 from .geo import GeoPoint, Grid, cell_center, format_csv, normalize_lon, physical_lines
 from .network import Catalog, SeedSpec, sample_network
 from .scenario import Earthquake, VelocityModel
@@ -67,8 +67,7 @@ def percentile(values: Iterable[float], p: float) -> float:
     With sorted v[0..m-1] and h = (m-1) * p / 100, returns
     v[floor(h)] + (h - floor(h)) * (v[floor(h) + 1] - v[floor(h)]).
     """
-    if not 0.0 <= p <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {p}")
+    in_range("percentile", p, 0, 100)
     v = sorted(float(x) for x in values)
     if not v:
         raise EewsimError("percentile of an empty collection")
@@ -79,11 +78,20 @@ def percentile(values: Iterable[float], p: float) -> float:
     return v[i] + (h - i) * (v[i + 1] - v[i])
 
 
+def mean(values: list[float]) -> float:
+    """``statistics.fmean`` of finite ``values``, also where their sum leaves float range."""
+    try:
+        return fmean(values)
+    except OverflowError:  # their mean does not: take it on values scaled by 2**-k <= 1/(2n)
+        k = len(values).bit_length() + 1
+        return math.ldexp(fmean([math.ldexp(v, -k) for v in values]), k)
+
+
 def mean_band(values: list[float]) -> tuple[float | None, float | None, float | None]:
     """(mean, 2.5th, 97.5th percentile) of ``values``; three Nones when there are none."""
     if not values:
         return None, None, None
-    return fmean(values), percentile(values, 2.5), percentile(values, 97.5)
+    return mean(values), percentile(values, 2.5), percentile(values, 97.5)
 
 
 def run_replica(
@@ -129,8 +137,7 @@ def run_campaign(
     An n with zero detections yields a summary with rate 0 and absent
     statistics rather than failing the campaign.
     """
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    in_range("replicas", replicas, 1)
     rows = []
     for n in n_grid:
         for r in range(replicas):
@@ -200,7 +207,8 @@ def detection_density(
     h = bandwidth_deg if bandwidth_deg is not None else silverman_bandwidth_deg(lats, lons)
     if not (math.isfinite(h) and h > 0):
         h = like.cellsize
-
+    if not 2.0 * h * h:
+        raise EewsimError(f"density bandwidth {h!r} deg underflows to zero when squared")
     inv = 1.0 / (2.0 * h * h)
     a = np.exp(-((like.lat_centers()[None, :] - lats[:, None]) ** 2) * inv)
     b = np.exp(-((like.lon_centers()[None, :] - lons[:, None]) ** 2) * inv)
@@ -234,29 +242,31 @@ def read_runs_csv(stream: IO[str] | str) -> np.recarray:
     """Parse a runs.csv produced by :func:`write_runs_csv` into a runs array.
 
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r``. Blank lines are skipped,
-    and line numbers count them. Raises ValueError on a file without data
+    and line numbers count them. Raises EewsimError on a file without data
     rows, and, naming the line, on a row that does not parse or holds an
     unprintable character (such as ``\\f``), an undetected row with a
-    metric, a detected row whose delay, distance or location is not
-    finite, a latitude outside [-90, 90] and a repeated (n, replica).
-    Longitudes are wrapped into [-180, 180).
+    metric, a number outside its domain and a repeated (n, replica). The
+    domains: n >= 1 and replica >= 0, both below 2**63; on a detected row
+    every metric is finite, delay_s >= 0 and distance_km >= 0, since every
+    trigger follows the origin, and det_lat in [-90, 90]. Longitudes are
+    wrapped into [-180, 180).
     """
     text = stream if isinstance(stream, str) else stream.read()
     lines = [(i, ln) for i, ln in enumerate(physical_lines(text), start=1) if ln.strip()]
     if not lines or lines[0][1] != RUNS_HEADER:
-        raise ValueError("not a runs.csv file (bad or missing header)")
+        raise EewsimError("not a runs.csv file (bad or missing header)")
     if len(lines) == 1:
-        raise ValueError("runs.csv has no data rows")
+        raise EewsimError("runs.csv has no data rows")
     rows = []
     first_line: dict[tuple[int, int], int] = {}
     for lineno, line in lines[1:]:
         try:
             rows.append(_parse_run(line))
-        except ValueError as e:
-            raise ValueError(f"runs.csv line {lineno}: {e}") from None
+        except EewsimError as e:
+            raise EewsimError(f"runs.csv line {lineno}: {e}") from None
         key = rows[-1][:2]
         if first_line.setdefault(key, lineno) != lineno:
-            raise ValueError(
+            raise EewsimError(
                 f"runs.csv line {lineno}: n={key[0]} replica={key[1]} repeats line {first_line[key]}"
             )
     return _runs(rows)
@@ -265,24 +275,22 @@ def read_runs_csv(stream: IO[str] | str) -> np.recarray:
 def _parse_run(line: str) -> tuple:
     f = line.split(",")
     if len(f) != 7 or f[2] not in ("true", "false") or not line.isprintable():
-        raise ValueError(f"cannot parse {line!r}")
+        raise EewsimError(f"cannot parse {line!r}")
     try:
         n, replica = int(f[0]), int(f[1])
         metrics = [float(x) for x in f[3:]] if f[2] == "true" else None
     except ValueError:
-        raise ValueError(f"cannot parse {line!r}") from None
-    if not (1 <= n < 2**63 and 0 <= replica < 2**63):
-        raise ValueError(f"n or replica out of range in {line!r}")
+        raise EewsimError(f"cannot parse {line!r}") from None
+    in_range("n", n, 1, 2**63, hi_open=True)
+    in_range("replica", replica, 0, 2**63, hi_open=True)
     if metrics is None:
         if any(f[3:]):
-            raise ValueError(f"undetected row carries metrics in {line!r}")
+            raise EewsimError(f"undetected row carries metrics in {line!r}")
         return (n, replica, *_UNDETECTED)
     delay_s, distance_km, lat, lon = metrics
-    if not all(math.isfinite(x) for x in metrics):
-        raise ValueError(f"non-finite value in {line!r}")
-    if not -90.0 <= lat <= 90.0:
-        raise ValueError(f"latitude {lat} outside [-90, 90]")
-    return (n, replica, True, delay_s, distance_km, lat, normalize_lon(lon))
+    return (n, replica, True, in_range("delay_s", delay_s, 0),
+            in_range("distance_km", distance_km, 0), in_range("det_lat", lat, -90, 90),
+            normalize_lon(in_range("det_lon", lon)))
 
 
 def write_summary_csv(summaries: Sequence[McSummary]) -> str:

@@ -11,22 +11,19 @@ within one replica.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import EewsimError
+from .errors import EewsimError, in_range
 from .geo import Grid, normalize_lon, read_float_rows
 
 # substream tags; never reuse a value for a new purpose
 STREAM_NETWORK = 1
 STREAM_TRIGGERS = 2
 STREAM_SYNTH = 3
-
-_U64_MAX = 2**64 - 1
 
 # catalog CSV body lines parsed per vectorized step; bounds the loader's memory
 _CHUNK_LINES = 2**16
@@ -41,10 +38,9 @@ class SeedSpec:
     replica: int
 
     def __post_init__(self):
-        if not 0 <= self.master_seed <= _U64_MAX:
-            raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed}")
-        if self.n < 0 or self.replica < 0:
-            raise ValueError("n and replica must be non-negative")
+        in_range("master_seed", self.master_seed, 0, 2**64, hi_open=True)
+        in_range("n", self.n, 0)
+        in_range("replica", self.replica, 0)
 
     def generator(self, stream: int) -> np.random.Generator:
         ss = np.random.SeedSequence((self.master_seed, self.n, self.replica, stream))
@@ -56,11 +52,11 @@ def _coord_arrays(lats, lons) -> tuple[np.ndarray, np.ndarray]:
     lats = np.array(lats, dtype=np.float64, order="C", copy=True)
     lons = np.array(lons, dtype=np.float64, order="C", copy=True)
     if lats.shape != lons.shape or lats.ndim != 1:
-        raise ValueError("lats and lons must be 1-D arrays of equal length")
-    if not (np.isfinite(lats).all() and np.isfinite(lons).all()):
-        raise EewsimError("non-finite coordinate in catalog")
-    if lats.size and (lats.min() < -90.0 or lats.max() > 90.0):
-        raise EewsimError("latitude outside [-90, 90] in catalog")
+        raise EewsimError("lats and lons must be 1-D arrays of equal length")
+    for x in (lats.min(), lats.max()) if lats.size else ():  # a NaN is the min and max
+        in_range("catalog latitude", float(x), -90, 90)
+    for x in (lons.min(), lons.max()) if lons.size else ():
+        in_range("catalog longitude", float(x))
     lons = normalize_lon(lons)
     lats.setflags(write=False)
     lons.setflags(write=False)
@@ -160,11 +156,8 @@ def _parse_lines(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray
             lat, lon = map(float, parts)
         except ValueError:
             raise EewsimError(f"{origin} line {lineno}: cannot parse {line!r}") from None
-        if not (math.isfinite(lat) and math.isfinite(lon)):
-            raise EewsimError(f"{origin} line {lineno}: non-finite coordinate")
-        if not -90.0 <= lat <= 90.0:
-            raise EewsimError(f"{origin} line {lineno}: latitude {lat} outside [-90, 90]")
-        rows.append((lat, lon))
+        rows.append((in_range(f"{origin} line {lineno}: latitude", lat, -90, 90),
+                     in_range(f"{origin} line {lineno}: longitude", lon)))
     return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
@@ -177,8 +170,7 @@ def synth_catalog(pop: Grid, n_points: int, seed: int) -> Catalog:
     population; each point is then jittered uniformly within its cell.
     Deterministic for a given (grid, n_points, seed).
     """
-    if n_points < 1:
-        raise EewsimError(f"n_points must be >= 1, got {n_points}")
+    in_range("n_points", n_points, 1)
     weights = np.where(pop.mask & (pop.values > 0), pop.values, 0.0).ravel()
     total = weights.sum()
     if total <= 0:
@@ -206,8 +198,7 @@ def sample_network(cat: Catalog, n: int, seed: SeedSpec) -> Network:
     chains at once.
     """
     N = len(cat)
-    if n < 1:
-        raise EewsimError(f"network size must be >= 1, got {n}")
+    in_range("network size", n, 1)
     if n > N:
         raise EewsimError(f"network size {n} exceeds catalog size {N}")
     rng = seed.generator(STREAM_NETWORK)

@@ -7,12 +7,15 @@ from the hypocenter divided by a constant P or S speed. Defaults of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import GeoPoint, haversine_km_points
+from .errors import in_range
+from .geo import EARTH_RADIUS_KM, GeoPoint, haversine_km_points
+
+# the slowest wave whose longest travel, hypot(pi R, R) km, takes under 2**53 s
+MIN_SPEED_KM_S = (np.pi**2 + 1) ** 0.5 * EARTH_RADIUS_KM / 2**53
 
 
 @dataclass(frozen=True)
@@ -23,12 +26,9 @@ class Earthquake:
     origin_time_s: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.depth_km) and self.depth_km >= 0):
-            raise ValueError(f"depth_km must be >= 0, got {self.depth_km}")
-        if not math.isfinite(self.magnitude):
-            raise ValueError("magnitude must be finite")
-        if not math.isfinite(self.origin_time_s):
-            raise ValueError("origin_time_s must be finite")
+        in_range("depth_km", self.depth_km, 0, EARTH_RADIUS_KM)
+        in_range("magnitude", self.magnitude)
+        in_range("origin_time_s", self.origin_time_s, -2**53, 2**53, lo_open=True, hi_open=True)
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,8 @@ class VelocityModel:
     v_s_km_s: float = 3.5
 
     def __post_init__(self):
-        if not (math.inf > self.v_p_km_s > self.v_s_km_s > 0):
-            raise ValueError(
-                f"need inf > v_p > v_s > 0, got v_p={self.v_p_km_s}, v_s={self.v_s_km_s}"
-            )
+        in_range("v_s_km_s", self.v_s_km_s, MIN_SPEED_KM_S, lo_open=True)
+        in_range("v_p_km_s", self.v_p_km_s, self.v_s_km_s, lo_open=True)
 
 
 def hypocentral_km_points(eq: Earthquake, lats, lons) -> np.ndarray:

@@ -13,17 +13,15 @@ empirical quantile under equal weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from statistics import fmean
 from typing import Sequence
 
 import numpy as np
 
 from .detection import Detection
-from .errors import EewsimError
+from .errors import EewsimError, in_range
 from .geo import Grid, MmiBin, check_disjoint_bins, format_csv, match_cells
-from .montecarlo import DensityGrid, detection_density, mean_band
+from .montecarlo import DensityGrid, detection_density, mean, mean_band
 from .scenario import Earthquake, VelocityModel, s_arrivals_s
 
 
@@ -34,9 +32,7 @@ class AlertParams:
     dissemination_latency_s: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.dissemination_latency_s < math.inf:
-            raise ValueError("dissemination latency must be finite and >= 0, "
-                             f"got {self.dissemination_latency_s}")
+        in_range("dissemination_latency_s", self.dissemination_latency_s, 0)
 
 
 @dataclass(frozen=True)
@@ -69,14 +65,13 @@ def weighted_percentile(values, weights, p: float) -> float:
     Returns the smallest value whose cumulative normalized weight is
     >= p/100. Zero-weight entries are ignored.
     """
-    if not 0.0 <= p <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {p}")
+    in_range("percentile", p, 0, 100)
     v = np.asarray(values, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if v.shape != w.shape or v.ndim != 1:
-        raise ValueError("values and weights must be 1-D arrays of equal length")
+        raise EewsimError("values and weights must be 1-D arrays of equal length")
     if (w < 0).any():
-        raise ValueError("weights must be non-negative")
+        raise EewsimError("weights must be non-negative")
     keep = w > 0
     v, w = v[keep], w[keep]
     if v.size == 0:
@@ -132,8 +127,10 @@ def _histogram(w: np.ndarray, pops: np.ndarray, width: float) -> tuple[tuple[flo
     """Fixed-width histogram aligned to multiples of ``width``.
 
     Buckets are contiguous from the lowest to the highest occupied bucket;
-    bucket populations sum to exactly the same total the stats use.
+    bucket populations sum to exactly the same total the stats use. Every
+    bucket index is below 2**53 in magnitude, so the int64 cast is exact.
     """
+    in_range("|warning time / hist_width_s|", float(np.abs(w).max()) / width, hi=2**53, hi_open=True)
     k = np.floor(w / width).astype(np.int64)
     k_min = int(k.min())
     counts = np.bincount(k - k_min, weights=pops)
@@ -176,8 +173,7 @@ def warning_stats(
     raised. A bin with no cell that takes part, and every bin when no
     alert was raised, yields population 0 and absent statistics.
     """
-    if not 0 < hist_width_s < math.inf:
-        raise ValueError(f"hist_width_s must be finite and > 0, got {hist_width_s}")
+    in_range("hist_width_s", hist_width_s, 0, lo_open=True)
     latency = ap.dissemination_latency_s
     consts = [None] * len(field.bins) if time_s is None else _s_stats(field)
     out = []
@@ -242,7 +238,7 @@ def mode_conditioned_detection(
     if not delays.size:
         raise EewsimError(f"no detected replica at n={n}")
     density = detection_density(mine, like, bandwidth_deg)
-    mean_time = eq.origin_time_s + fmean(delays.tolist())
+    mean_time = eq.origin_time_s + mean(delays.tolist())
     det = Detection(time_s=mean_time, location=density.mode, contributing=())
     return det, density
 

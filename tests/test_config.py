@@ -112,7 +112,7 @@ directory = results
 
     def test_negative_synth_seed_rejected(self, tmp_path):
         text = MINIMAL.replace("synth_n = 100", "synth_n = 100\nsynth_seed = -1")
-        assert_rejected(tmp_path, text, "[catalog] synth_seed must be >= 0")
+        assert_rejected(tmp_path, text, "[catalog] synth_seed must be >= 0, got -1")
         text = MINIMAL.replace("synth_n = 100", "synth_n = 100\nsynth_seed = 0")
         assert load_config(write_config(tmp_path, text)).synth_seed == 0
 
@@ -159,5 +159,6 @@ class TestOverrides:
         cfg = load_config(write_config(tmp_path, MINIMAL))
         with pytest.raises(EewsimError, match=r"^--replicas must be >= 1, got 0$"):
             apply_overrides(cfg, replicas=0)
-        with pytest.raises(EewsimError, match=r"^--seed must fit in 64 bits, got -1$"):
+        with pytest.raises(EewsimError,
+                           match=r"^--seed must be in \[0, 18446744073709551616\), got -1$"):
             apply_overrides(cfg, seed=-1)

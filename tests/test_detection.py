@@ -38,17 +38,17 @@ def triggers_at(times):
 
 class TestParams:
     def test_phone_params_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^p_detect must be in \[0, 1\], got 1\.5$"):
             PhoneParams(p_detect=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^delay_hi_s must be >= 2\.0, got 1\.0$"):
             PhoneParams(delay_lo_s=2.0, delay_hi_s=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^delay_lo_s must be >= 0, got -0\.1$"):
             PhoneParams(delay_lo_s=-0.1)
 
     def test_detector_params_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^k_min must be >= 2, got 1$"):
             DetectorParams(k_min=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^window_s must be > 0, got 0\.0$"):
             DetectorParams(window_s=0.0)
 
 

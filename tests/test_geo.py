@@ -122,9 +122,9 @@ class TestGeoPoint:
         assert normalize_lon(np.array([])).size == 0
 
     def test_lat_out_of_range(self):
-        with pytest.raises(EewsimError, match=r"^latitude 91\.0 outside \[-90, 90\]$"):
+        with pytest.raises(EewsimError, match=r"^latitude must be in \[-90, 90\], got 91\.0$"):
             GeoPoint(91.0, 0.0)
-        with pytest.raises(EewsimError, match=r"^non-finite coordinate \(nan, 0\.0\)$"):
+        with pytest.raises(EewsimError, match=r"^latitude must be in \[-90, 90\], got nan$"):
             GeoPoint(float("nan"), 0.0)
 
 
@@ -284,21 +284,24 @@ class TestReadFloatRows:
 class TestGridRoleChecks:
     def test_population_must_be_non_negative(self):
         check_population_grid(make_grid([[0.0, 5.0], [-9999.0, 1e6]]))
-        with pytest.raises(ValueError):
+        rule = r"population grid value must be in \[0, 9007199254740992\]"
+        with pytest.raises(EewsimError, match=rf"^{rule}, got -2\.0$"):
             check_population_grid(make_grid([[1.0, -2.0]]))
+        with pytest.raises(EewsimError, match=rf"^{rule}, got 1e\+16$"):
+            check_population_grid(make_grid([[1.0, 1e16]]))
 
     def test_population_must_not_be_subnormal(self):
         tiny = np.finfo(np.float64).tiny
         check_population_grid(make_grid([[0.0, -0.0, tiny, -9999.0]]))
         for v in (5e-324, np.nextafter(tiny, 0.0)):
-            with pytest.raises(ValueError, match="subnormal"):
+            with pytest.raises(EewsimError, match="subnormal"):
                 check_population_grid(make_grid([[1.0, v]]))
 
     def test_mmi_must_stay_on_scale(self):
         check_mmi_grid(make_grid([[0.0, 12.0], [-9999.0, 7.5]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^MMI grid value must be in \[0, 12\], got 13\.0$"):
             check_mmi_grid(make_grid([[13.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^MMI grid value must be in \[0, 12\], got -0\.5$"):
             check_mmi_grid(make_grid([[-0.5]]))
 
 
@@ -355,6 +358,7 @@ class TestCellAddressing:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_cell_points_map_back_to_their_cell(self, nrows, ncols, xll, yll, cellsize, v, u, seed):
+        assume(yll + nrows * cellsize <= 90.0)  # every row center on the globe
         g = Grid(ncols=ncols, nrows=nrows, xll=xll, yll=yll, cellsize=cellsize,
                  nodata=-9999.0, values=np.zeros((nrows, ncols)))
         rows, cols = np.indices((nrows, ncols))
@@ -368,6 +372,14 @@ class TestCellAddressing:
         lat2, lon2 = g.center_mesh()
         np.testing.assert_array_equal(lat2, g.row_lat(rows))
         np.testing.assert_array_equal(lon2, g.col_lon(cols))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_points_are_outside_without_overflow(self):
+        # an index beyond int64, or inf, names no cell: it reads 0, outside
+        g = make_grid([[1.0, 2.0]], cellsize=5e-324)
+        rows, cols, inside = cell_indices(g, [0.5, 1e-300, -80.0], [0.5, 1e-300, 359.0])
+        assert not inside.any()
+        assert rows.tolist() == cols.tolist() == [0, 0, 0]
 
     def test_sample_values_matches_sample_at(self):
         rng = np.random.default_rng(5)
@@ -423,9 +435,9 @@ class TestMmiBin:
 
     def test_disjoint_check(self):
         check_disjoint_bins([MmiBin(7.5, 8.0), MmiBin(8.0, 8.5)])
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^intensity bins \(7\.5,8\] and \(7\.9,8\.5\] overlap$"):
             check_disjoint_bins([MmiBin(7.5, 8.0), MmiBin(7.9, 8.5)])
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^intensity bins \(7\.5,8\] and \[8,8\.5\] overlap$"):
             # shared edge closed on both sides overlaps at the point
             check_disjoint_bins(
                 [MmiBin(7.5, 8.0), MmiBin(8.0, 8.5, lo_open=False)]

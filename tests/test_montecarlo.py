@@ -1,4 +1,6 @@
 import math
+import re
+from statistics import fmean
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from eewsim.montecarlo import (
     RUNS_HEADER,
     McSummary,
     detection_density,
+    mean,
     percentile,
     read_runs_csv,
     run_campaign,
@@ -76,7 +79,7 @@ class TestPercentile:
     def test_errors(self):
         with pytest.raises(EewsimError, match=r"^percentile of an empty collection$"):
             percentile([], 50)
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^percentile must be in \[0, 100\], got 101$"):
             percentile([1.0], 101)
 
 
@@ -298,8 +301,8 @@ class TestCsvRoundTrip:
             st.integers(1, 2**63 - 1),
             st.integers(0, 2**63 - 1),
             st.none() | st.tuples(
-                st.floats(allow_nan=False, allow_infinity=False),
-                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(0.0, allow_infinity=False),
+                st.floats(0.0, allow_infinity=False),
                 st.floats(-90.0, 90.0),
                 st.floats(-180.0, 180.0, exclude_max=True),
             ),
@@ -323,23 +326,36 @@ class TestCsvRoundTrip:
         assert lines[1] == "5,3,0.0,,,,,,"
 
     def test_rejects_foreign_file(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^not a runs.csv file \(bad or missing header\)$"):
             read_runs_csv("a,b\n1,2\n")
 
     def test_rejects_header_only_file(self):
-        with pytest.raises(ValueError, match="no data rows"):
+        with pytest.raises(EewsimError, match="no data rows"):
             read_runs_csv("n,replica,detected,delay_s,distance_km,det_lat,det_lon\n")
 
-    @pytest.mark.parametrize("row", [
-        "10,0,true,nan,7.5,18.1,-72.9",
-        "10,0,true,3.25,inf,18.1,-72.9",
-        "10,0,true,3.25,7.5,nan,-72.9",
-        "10,0,true,3.25,7.5,18.1,-inf",
-    ])
+    NON_FINITE = {  # row -> the rule it breaks
+        "10,0,true,nan,7.5,18.1,-72.9": "delay_s must be finite and >= 0, got nan",
+        "10,0,true,3.25,inf,18.1,-72.9": "distance_km must be finite and >= 0, got inf",
+        "10,0,true,3.25,7.5,nan,-72.9": "det_lat must be in [-90, 90], got nan",
+        "10,0,true,3.25,7.5,18.1,-inf": "det_lon must be finite, got -inf",
+    }
+
+    @pytest.mark.parametrize("row", list(NON_FINITE))
     def test_rejects_non_finite_detected_row(self, row):
         text = "n,replica,detected,delay_s,distance_km,det_lat,det_lon\n" + row + "\n"
-        with pytest.raises(ValueError, match="line 2: non-finite"):
+        message = f"runs.csv line 2: {self.NON_FINITE[row]}"
+        with pytest.raises(EewsimError, match=f"^{re.escape(message)}$"):
             read_runs_csv(text)
+
+    @pytest.mark.parametrize("row, message", [
+        ("10,0,true,-1e308,7.5,18.1,-72.9", "delay_s must be >= 0, got -1e+308"),
+        ("10,0,true,-5e-324,7.5,18.1,-72.9", "delay_s must be >= 0, got -5e-324"),
+        ("10,0,true,3.25,-0.5,18.1,-72.9", "distance_km must be >= 0, got -0.5"),
+    ])
+    def test_rejects_negative_delay_or_distance(self, row, message):
+        # every trigger follows the origin, and a distance is never negative
+        with pytest.raises(EewsimError, match=f"^{re.escape(f'runs.csv line 2: {message}')}$"):
+            read_runs_csv(RUNS_HEADER + "\n" + row + "\n")
 
     @pytest.mark.parametrize("body, match", [
         # line numbers count blank lines
@@ -347,10 +363,11 @@ class TestCsvRoundTrip:
         ("10,x,false,,,,\n", r"^runs.csv line 2: cannot parse '10,x,false,,,,'$"),
         ("10,0,true,3.25,,18.1,-72.9\n", r"^runs.csv line 2: cannot parse '10,0,true,3.25,,18.1,-72.9'$"),
         ("10,0,yes,,,,\n", r"^runs.csv line 2: cannot parse"),
-        ("\n10,0,true,3.25,7.5,95,-72.9\n", r"^runs.csv line 3: latitude 95.0 outside \[-90, 90\]$"),
-        ("0,0,false,,,,\n", r"^runs.csv line 2: n or replica out of range"),
-        ("10,-1,false,,,,\n", r"^runs.csv line 2: n or replica out of range"),
-        (f"{2**63},0,false,,,,\n", r"^runs.csv line 2: n or replica out of range"),
+        ("\n10,0,true,3.25,7.5,95,-72.9\n", r"^runs.csv line 3: det_lat must be in \[-90, 90\], got 95.0$"),
+        ("0,0,false,,,,\n", r"^runs.csv line 2: n must be in \[1, 9223372036854775808\), got 0$"),
+        ("10,-1,false,,,,\n", r"^runs.csv line 2: replica must be in \[0, 9223372036854775808\), got -1$"),
+        (f"{2**63},0,false,,,,\n",
+         r"^runs.csv line 2: n must be in \[1, 9223372036854775808\), got 9223372036854775808$"),
         # the writer leaves every metric of an undetected row empty
         ("10,0,false,,,,\n10,1,false,3.25,,,\n", r"^runs.csv line 3: undetected row carries"),
         ("10,1,false,,,,-72.9\n", r"^runs.csv line 2: undetected row carries metrics"),
@@ -360,7 +377,7 @@ class TestCsvRoundTrip:
          r"^runs.csv line 5: n=10 replica=0 repeats line 2$"),
     ])
     def test_rejected_row_names_its_line(self, body, match):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(EewsimError, match=match):
             read_runs_csv(RUNS_HEADER + "\n" + body)
 
     @pytest.mark.parametrize("brk", LINE_BREAKS_NOT_NEWLINES)
@@ -369,10 +386,10 @@ class TestCsvRoundTrip:
         # str.splitlines would end a line at brk as well, and so shift the
         # line number of every later row or split a row in two
         head = RUNS_HEADER + newline + "10,0,false,,,," + newline
-        with pytest.raises(ValueError, match=r"^runs.csv line 4: cannot parse '10,x,"):
+        with pytest.raises(EewsimError, match=r"^runs.csv line 4: cannot parse '10,x,"):
             read_runs_csv(head + brk + newline + "10,x,false,,,," + newline)
         for row in ("10,1,false,,,," + brk, "10,1,true,3.0," + brk + "1.0,18.0,-72.0"):
-            with pytest.raises(ValueError, match=r"^runs.csv line 3: cannot parse '10,1,"):
+            with pytest.raises(EewsimError, match=r"^runs.csv line 3: cannot parse '10,1,"):
                 read_runs_csv(head + row + newline)
 
     def test_same_replica_at_another_n_is_no_repeat(self):
@@ -382,6 +399,21 @@ class TestCsvRoundTrip:
     def test_longitude_wrapped(self):
         runs = read_runs_csv(RUNS_HEADER + "\n10,0,true,3.0,1.0,18.0,190.0\n")
         assert runs.lon.tolist() == [-170.0]
+
+
+class TestMean:
+    def test_equals_fmean(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            vals = rng.normal(scale=1e3, size=int(rng.integers(1, 40))).tolist()
+            assert mean(vals) == fmean(vals)
+
+    def test_sum_beyond_float_range(self):
+        # fmean raises OverflowError here, though the mean of finite values is finite
+        big = np.finfo(np.float64).max.item()
+        assert mean([big] * 3) == big
+        assert mean([big, big, -big]) == big / 3
+        assert mean([-big] * 1000 + [0.0]) == pytest.approx(-(big / 1001) * 1000, rel=1e-15)
 
 
 class TestSummarize:

@@ -35,7 +35,7 @@ class TestLoadCatalog:
 
     def test_out_of_range_latitude(self):
         with pytest.raises(EewsimError,
-                           match=r"^catalog line 2: latitude 91\.0 outside \[-90, 90\]$"):
+                           match=r"^catalog line 2: latitude must be in \[-90, 90\], got 91\.0$"):
             load_catalog("lat,lon\n91,0\n")
 
     def test_empty_body(self):
@@ -345,9 +345,10 @@ class TestSampleNetwork:
 class TestSeedSpec:
     def test_master_seed_range(self):
         SeedSpec(2**64 - 1, 1, 0)
-        with pytest.raises(ValueError):
+        rule = r"master_seed must be in \[0, 18446744073709551616\)"
+        with pytest.raises(EewsimError, match=rf"^{rule}, got -1$"):
             SeedSpec(-1, 1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=rf"^{rule}, got 18446744073709551616$"):
             SeedSpec(2**64, 1, 0)
 
     def test_distinct_triples_distinct_streams(self):

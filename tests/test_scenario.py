@@ -1,6 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
+from eewsim.errors import EewsimError
 from eewsim.geo import GeoPoint, haversine_km
 from eewsim.scenario import Earthquake, VelocityModel, p_arrivals_s, s_arrivals_s
 from testutil import hypocentral_km, p_arrival_s, s_arrival_s
@@ -12,14 +16,29 @@ def quake(lat=18.0, lon=-72.0, depth=10.0, origin=0.0):
 
 class TestValidation:
     def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^depth_km must be in \[0, 6371\.0\], got -1\.0$"):
             quake(depth=-1.0)
+        # no hypocenter lies below the center of the Earth
+        with pytest.raises(EewsimError, match=r"^depth_km must be in \[0, 6371\.0\], got 1e\+308$"):
+            quake(depth=1e308)
+
+    def test_origin_time_resolves_a_second(self):
+        rule = r"origin_time_s must be in \(-9007199254740992, 9007199254740992\)"
+        for t in (2.0**53, -1e308, math.inf):
+            with pytest.raises(EewsimError, match=rf"^{rule}, got {re.escape(str(t))}$"):
+                quake(origin=t)
+        assert quake(origin=2.0**53 - 1).origin_time_s == 2.0**53 - 1
 
     def test_velocity_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^v_p_km_s must be > 3\.5, got 3\.0$"):
             VelocityModel(v_p_km_s=3.0, v_s_km_s=3.5)
-        with pytest.raises(ValueError):
+        # the slowest speed crosses hypot(pi R, R) km in under 2**53 s
+        rule = r"v_s_km_s must be > 2\.331979369570763e-12"
+        with pytest.raises(EewsimError, match=rf"^{rule}, got 0\.0$"):
             VelocityModel(v_p_km_s=6.5, v_s_km_s=0.0)
+        with pytest.raises(EewsimError, match=rf"^{rule}, got 5e-324$"):
+            VelocityModel(v_p_km_s=6.5, v_s_km_s=5e-324)
+        VelocityModel(v_p_km_s=6.5, v_s_km_s=2.4e-12)
 
 
 class TestHypocentral:

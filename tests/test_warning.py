@@ -67,7 +67,7 @@ class TestWeightedPercentile:
             weighted_percentile([1.0], [0.0], 50)
 
     def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^weights must be non-negative$"):
             weighted_percentile([1.0], [-1.0], 50)
 
 
@@ -177,7 +177,7 @@ class TestWarningField:
 
     def test_overlapping_bins_rejected(self):
         pop = make_grid([[1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(EewsimError, match=r"^intensity bins \(7,8\.5\] and \(8,9\] overlap$"):
             warning_field(quake(), VelocityModel(), uniform_mmi(pop), pop,
                           [MmiBin(7.0, 8.5), MmiBin(8.0, 9.0)])
 

@@ -176,12 +176,10 @@ def load_catalog_oracle(source, origin: str = "catalog") -> Catalog:
             lat, lon = float(parts[0]), float(parts[1])
         except ValueError:
             raise EewsimError(f"{origin} line {lineno}: cannot parse {line!r}") from None
-        if not (math.isfinite(lat) and math.isfinite(lon)):
-            raise EewsimError(f"{origin} line {lineno}: non-finite coordinate")
         if not -90.0 <= lat <= 90.0:
-            raise EewsimError(
-                f"{origin} line {lineno}: latitude {lat} outside [-90, 90]"
-            )
+            raise EewsimError(f"{origin} line {lineno}: latitude must be in [-90, 90], got {lat}")
+        if not math.isfinite(lon):
+            raise EewsimError(f"{origin} line {lineno}: longitude must be finite, got {lon}")
         lats[k] = lat
         lons[k] = normalize_lon_scalar(lon)
     return Catalog(lats=lats, lons=lons)
@@ -218,8 +216,11 @@ def parse_ascii_grid_oracle(source) -> Grid:
     if missing:
         raise EewsimError(f"missing header(s): {', '.join(missing)}")
     for key in ("ncols", "nrows"):
-        if header[key] != int(header[key]) or header[key] < 1:
-            raise EewsimError(f"header {key} must be a positive integer")
+        if not (math.isfinite(header[key]) and header[key] >= 1):
+            rule = ">= 1" if math.isfinite(header[key]) else "finite and >= 1"
+            raise EewsimError(f"header {key} must be {rule}, got {header[key]}")
+        if header[key] != int(header[key]):
+            raise EewsimError(f"header {key} must be an integer, got {header[key]}")
 
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     tokens = "\n".join(lines[body_start:]).split()

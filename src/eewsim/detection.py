@@ -20,7 +20,6 @@ with t[j-k_min+1] > t[j] - window_s.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +108,13 @@ def simulate_triggers(
     return Triggers(times[order], lats[order], lons[order])
 
 
+def _median(values: list[float]) -> float:
+    """``statistics.median``: the middle value, or the mean of the middle two."""
+    v = sorted(values)
+    i = len(v) // 2
+    return v[i] if len(v) % 2 else (v[i - 1] + v[i]) / 2
+
+
 def detect(triggers: Triggers, dp: DetectorParams) -> Detection | None:
     """Apply the sliding-window count detector to time-sorted triggers.
 
@@ -132,8 +138,8 @@ def detect(triggers: Triggers, dp: DetectorParams) -> Detection | None:
     return Detection(
         time_s=float(t[last]),
         location=GeoPoint(
-            statistics.median(triggers.lats[first : last + 1].tolist()),
-            statistics.median(triggers.lons[first : last + 1].tolist()),
+            _median(triggers.lats[first : last + 1].tolist()),
+            _median(triggers.lons[first : last + 1].tolist()),
         ),
         contributing=tuple(range(first, last + 1)),
     )

@@ -395,6 +395,10 @@ def sample_values(grid: Grid, lats, lons) -> np.ndarray:
     return out
 
 
+# the last match_cells arguments and result
+_last_match: list = [None, None, None]
+
+
 def match_cells(pop: Grid, mmi: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Match every population cell to the intensity at its center.
 
@@ -402,11 +406,19 @@ def match_cells(pop: Grid, mmi: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarra
     grid's shape: the cell centers, the intensity sampled there (NaN
     outside the intensity grid or on its nodata) and the mask of valid
     population cells whose center got an intensity. The two grids need
-    not share geometry.
+    not share geometry. The arrays are read-only: a grid cannot change,
+    so the last result is returned again for the same two grid objects,
+    and ``eewsim all`` matches the cells once for exposure and warn.
     """
-    lat2, lon2 = pop.center_mesh()
-    mmi_at = sample_values(mmi, lat2, lon2)
-    return lat2, lon2, mmi_at, pop.mask & np.isfinite(mmi_at)
+    last_pop, last_mmi, result = _last_match
+    if pop is not last_pop or mmi is not last_mmi:
+        lat2, lon2 = pop.center_mesh()
+        mmi_at = sample_values(mmi, lat2, lon2)
+        result = (lat2, lon2, mmi_at, pop.mask & np.isfinite(mmi_at))
+        for a in result:
+            a.setflags(write=False)
+        _last_match[:] = pop, mmi, result
+    return result
 
 
 # --- intensity bins and exposure --------------------------------------------

@@ -13,19 +13,20 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from itertools import islice
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .errors import EewsimError, in_range
-from .geo import Grid, normalize_lon, read_float_rows
+from .geo import Grid, normalize_lon, physical_lines, read_float_rows
 
 # substream tags; never reuse a value for a new purpose
 STREAM_NETWORK = 1
 STREAM_TRIGGERS = 2
 STREAM_SYNTH = 3
 
-# catalog CSV body lines parsed per vectorized step; bounds the loader's memory
+# catalog CSV body lines per parsed chunk of an iterable, and an eighth of the
+# characters per block of a file or string; bounds the loader's memory
 _CHUNK_LINES = 2**16
 
 
@@ -102,16 +103,18 @@ class Network:
 def load_catalog(source: str | IO[str] | Iterable[str], origin: str = "catalog") -> Catalog:
     """Read a catalog CSV: header ``lat,lon``, one point per line.
 
-    The text is streamed. A ``str`` is read through universal newlines
-    (lines end at ``\\n``, ``\\r\\n`` or ``\\r``); a file handle or any
-    other iterable yields one line per item. Body lines are taken
-    ``_CHUNK_LINES`` at a time and each chunk is parsed by numpy's C
-    reader (once more without its whitespace-only lines, which that reader
-    rejects), or line by line with ``float`` where that reader fails, so
-    working memory is one chunk plus the output arrays. Blank lines are
-    skipped, and an error names its 1-based line.
+    The text is streamed. A ``str`` (through universal newlines) and a
+    file handle are read in blocks of about ``8 * _CHUNK_LINES``
+    characters, each cut after its last ``\\n``, and their lines end at
+    ``\\n``, ``\\r\\n`` or ``\\r``; any other iterable yields one line per
+    item, taken ``_CHUNK_LINES`` at a time. A block of plain decimals is
+    read by :func:`_read_decimal_rows`. Any other block is parsed by
+    numpy's C reader (once more without its whitespace-only lines, which
+    that reader rejects), or line by line with ``float`` where that reader
+    fails, so working memory is one block plus the output arrays. Blank
+    lines are skipped, and an error names its 1-based line.
     """
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else iter(source)
+    lines = iter(io.StringIO(source, newline=None) if isinstance(source, str) else source)
     for header_no, line in enumerate(lines, 1):
         header = line.strip()
         if header:
@@ -123,24 +126,60 @@ def load_catalog(source: str | IO[str] | Iterable[str], origin: str = "catalog")
 
     chunks = []
     first_lineno = header_no + 1
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        chunks.append(_parse_chunk(chunk, first_lineno, origin))
-        first_lineno += len(chunk)
+    for text, block_lines in _body_blocks(lines):
+        vals, nlines = _parse_chunk(text, block_lines, first_lineno, origin)
+        chunks.append(vals)
+        first_lineno += nlines
     vals = np.concatenate(chunks) if chunks else np.empty((0, 2))
     if not vals.size:
         raise EewsimError(f"{origin}: no data rows")
     return Catalog(lats=vals[:, 0], lons=vals[:, 1])
 
 
-def _parse_chunk(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray:
-    """Parse body lines into an (m, 2) array of lat, lon rows."""
-    vals = read_float_rows(chunk, delimiter=",")
+def _body_blocks(lines: IO[str] | Iterator[str]) -> Iterator[tuple[str, list[str] | None]]:
+    """The rest of ``lines`` in blocks of whole lines, each block ended by ``\\n``.
+
+    Yields each block's text and, where ``lines`` gives one line per item
+    rather than being readable, those items.
+    """
+    if hasattr(lines, "read"):
+        rest = ""
+        while block := lines.read(8 * _CHUNK_LINES):
+            cut = block.rfind("\n") + 1
+            if cut:
+                yield rest + block[:cut], None
+                rest = block[cut:]
+            else:
+                rest += block
+        if rest:
+            yield rest + "\n", None
+    else:
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            yield "\n".join(chunk) + "\n", chunk
+
+
+def _in_domain(vals: np.ndarray) -> bool:
+    """Every value finite and every latitude in [-90, 90]; else the line parser names the line."""
+    return bool(np.isfinite(vals).all() and (np.abs(vals[:, 0]) <= 90.0).all())
+
+
+def _parse_chunk(text: str, lines: list[str] | None, first_lineno: int,
+                 origin: str) -> tuple[np.ndarray, int]:
+    """Parse a block of body lines into an (m, 2) array of lat, lon rows; also count its lines.
+
+    ``lines`` are the block's lines where they came one per item, else None.
+    """
+    vals = _read_decimal_rows(text, 2)
+    if vals is not None and (lines is None or len(vals) == len(lines)) and _in_domain(vals):
+        return vals, len(vals)
+    if lines is None:
+        lines = physical_lines(text)[:-1]
+    vals = read_float_rows(lines, delimiter=",")
     if vals is None:  # numpy's reader rejects whitespace-only lines: retry without them
-        vals = read_float_rows([ln for ln in chunk if ln.strip()], delimiter=",")
-    if vals is not None and vals.shape[1] == 2 and np.isfinite(vals).all():
-        if (np.abs(vals[:, 0]) <= 90.0).all():
-            return vals
-    return _parse_lines(chunk, first_lineno, origin)
+        vals = read_float_rows([ln for ln in lines if ln.strip()], delimiter=",")
+    if vals is None or vals.shape[1] != 2 or not _in_domain(vals):
+        vals = _parse_lines(lines, first_lineno, origin)
+    return vals, len(lines)
 
 
 def _parse_lines(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray:
@@ -159,6 +198,88 @@ def _parse_lines(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray
         rows.append((in_range(f"{origin} line {lineno}: latitude", lat, -90, 90),
                      in_range(f"{origin} line {lineno}: longitude", lon)))
     return np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+
+def _wide_float(dtype) -> tuple[type, int, np.ndarray]:
+    """The decimal reader's constants for a float type of P significand bits.
+
+    Returns the type; the bound on mantissas, 2**min(P, 64) - 1, below
+    which a uint64 mantissa is exact in it and not saturated; and the
+    powers 10**0 .. 10**K for the largest K with 5**K < 2**P, each exact
+    in it, as products of exact factors.
+    """
+    bits = np.finfo(dtype).nmant + 1
+    k_max = max(k for k in range(bits) if 5**k < 2**bits)
+    return dtype, 2 ** min(bits, 64) - 1, np.cumprod(np.r_[1, [10] * k_max].astype(dtype))
+
+
+# x87 extended precision (P = 64) on x86-64 Linux; a plain double elsewhere
+_WIDE = _wide_float(np.longdouble)
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
+
+
+def _read_decimal_rows(text: str, ncols: int) -> np.ndarray | None:
+    """Rows of plain decimals as an (m, ncols) float64 array, or None for any other text.
+
+    Every line of ``text`` must end in ``\\n`` and hold ``ncols``
+    comma-separated ASCII fields ``-?d*.?d*`` with at least one digit: no
+    blank line, space, ``\\r``, ``+`` or exponent. Each value has the bits
+    ``float`` gives its field. A field with digits m and k of them after
+    the point is m / 10**k, one division in the wide type, where m and
+    10**k are exact (Clinger's fast path widened to its significand),
+    then rounded to float64. That double rounding is one correct rounding
+    unless the quotient q falls on the midpoint of two doubles, where
+    2q - x is a double; such fields, and those where m or k is too large
+    to be exact, are read with ``float``. The sign is applied last, so
+    ``-0`` gives -0.0.
+    """
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    b = np.frombuffer(raw, np.uint8)
+    if not b.size or b[-1] != 10 or (b > 57).any() or (b == 47).any():
+        return None
+    # the bytes below '/' in order: the separators ',' and '\n', then '-',
+    # '.' and the bytes below ',' that decline the block
+    at = np.flatnonzero(b < 47)
+    kind = b[at]
+    at_sep = np.flatnonzero(kind < 45)
+    sep = at[at_sep]
+    nf = sep.size
+    if nf % ncols or not (kind[at_sep].reshape(-1, ncols) == [44] * (ncols - 1) + [10]).all():
+        return None
+    starts = np.empty_like(sep)
+    starts[0] = 0
+    starts[1:] = sep[:-1] + 1
+    neg = b[starts] == 45
+    # a field's '.' must be its last byte below '/', so the counts below
+    # catch a second '.' or a '-' after it; for the first field, index -1
+    # reads the final '\n'
+    dotted = kind[at_sep - 1] == 46
+    dot = at[at_sep - 1][dotted]
+    if (np.count_nonzero(kind == 45) != np.count_nonzero(neg)
+            or np.count_nonzero(kind == 46) != np.count_nonzero(dotted)):
+        return None
+    try:  # a field without a digit is left empty, which np.fromstring rejects
+        m = np.fromstring(raw.translate(_NEWLINE_TO_COMMA, b"-."), np.uint64, sep=",")
+    except ValueError:
+        return None
+    if m.size != nf:
+        return None
+
+    wide, m_limit, pow10 = _WIDE
+    k = np.zeros(nf, np.intp)
+    k[dotted] = sep[dotted] - dot - 1
+    slow = (k >= pow10.size) | (m >= m_limit)
+    q = m.astype(wide) / pow10[np.minimum(k, pow10.size - 1)]
+    x = q.astype(np.float64)
+    y = 2 * q - x  # exact, and a double, where q is the midpoint between x and y
+    slow |= (q != x) & (y == y.astype(np.float64))
+    for i in np.flatnonzero(slow).tolist():
+        x[i] = float(raw[starts[i] + neg[i]:sep[i]])
+    x = np.where(neg, -x, x)
+    return x.reshape(-1, ncols)
 
 
 # --- catalog synthesis and network sampling ----------------------------------

@@ -24,6 +24,9 @@ from .geo import Grid, MmiBin, check_disjoint_bins, format_csv, match_cells
 from .montecarlo import DensityGrid, detection_density, mean, mean_band
 from .scenario import Earthquake, VelocityModel, s_arrivals_s
 
+# rows warning_hist.csv may hold per bin: a finer hist_width_s exits 2
+MAX_HIST_BUCKETS = 2**20
+
 
 @dataclass(frozen=True)
 class AlertParams:
@@ -128,11 +131,13 @@ def _histogram(w: np.ndarray, pops: np.ndarray, width: float) -> tuple[tuple[flo
 
     Buckets are contiguous from the lowest to the highest occupied bucket;
     bucket populations sum to exactly the same total the stats use. Every
-    bucket index is below 2**53 in magnitude, so the int64 cast is exact.
+    bucket index is below 2**53 in magnitude, so the int64 cast is exact,
+    and there are at most ``MAX_HIST_BUCKETS`` buckets.
     """
     in_range("|warning time / hist_width_s|", float(np.abs(w).max()) / width, hi=2**53, hi_open=True)
     k = np.floor(w / width).astype(np.int64)
     k_min = int(k.min())
+    in_range("number of hist_width_s buckets", int(k.max()) - k_min + 1, hi=MAX_HIST_BUCKETS)
     counts = np.bincount(k - k_min, weights=pops)
     return tuple(
         (float((k_min + i) * width), float((k_min + i + 1) * width), float(c))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eewsim.cli
+import eewsim.geo
 import eewsim.warning
 from eewsim.cli import main
 from eewsim.errors import EewsimError
@@ -283,6 +284,20 @@ class TestWarn:
 
         monkeypatch.setattr(eewsim.warning, "match_cells", counting)
         assert run(rundir, "warn") == 0
+        assert len(calls) == 1
+
+    def test_all_matches_cells_once(self, rundir, monkeypatch):
+        # exposure and warn share one match of the population cells to the
+        # intensity grid
+        calls = []
+        sample_values = eewsim.geo.sample_values
+
+        def counting(*args):
+            calls.append(args)
+            return sample_values(*args)
+
+        monkeypatch.setattr(eewsim.geo, "sample_values", counting)
+        assert run(rundir, "all") == 0
         assert len(calls) == 1
 
     def test_empty_bin_emits_population_zero_row(self, rundir):

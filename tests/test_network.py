@@ -1,8 +1,10 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eewsim import network
@@ -223,6 +225,168 @@ class TestLoadCatalogStreaming:
             tracemalloc.stop()
         assert len(cat) == n
         assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+def _midpoint_text(x: float) -> str:
+    """The exact decimal expansion of the midpoint between |x| and the next double up."""
+    lo = abs(x)
+    mid = (Fraction(lo) + Fraction(math.nextafter(lo, math.inf))) / 2
+    e = mid.denominator.bit_length() - 1  # the denominator is 2**e
+    digits = str(mid.numerator * 5**e).rjust(e + 1, "0")
+    return f"{digits[:-e]}.{digits[-e:]}" if e else digits
+
+
+def _cut_significant(text: str, sig: int) -> str:
+    """``text`` up to its ``sig``-th significant digit; it must hold a '.' within them."""
+    seen = 0
+    for i, c in enumerate(text):
+        seen += c.isdigit() and (seen > 0 or c != "0")
+        if seen == sig:
+            return text[: i + 1]
+    return text
+
+
+# doubles in [1e-3, 1e15] drawn by their bits, so most have all 53 of them
+_SPREAD_FLOATS = st.integers(*np.array([1e-3, 1e15]).view(np.int64).tolist()).map(
+    lambda bits: float(np.int64(bits).view(np.float64)))
+
+# fields of the form -?d*.?d* with a digit: up to 25 integer digits with
+# leading zeros and up to 30 fraction digits; integers halfway between two
+# doubles; and decimals cut from the midpoint of two doubles, where one
+# rounding in a wider type and a second to float64 can differ from one
+# correct rounding
+_PLAIN_DECIMAL = st.tuples(
+    st.sampled_from(["", "-"]),
+    st.one_of(
+        st.tuples(st.text("0123456789", max_size=25), st.sampled_from(["", "."]),
+                  st.text("0123456789", max_size=30)).map("".join),
+        st.sampled_from([".5", "5.", "0.0", "0", "9007199254740993", "18.47485606619456"]),
+        st.floats(2.0**53, 1e25).map(_midpoint_text),
+        # 19 or 20 significant digits: near enough to the midpoint that the
+        # wide quotient often lands on it, few enough for a uint64 mantissa
+        st.tuples(_SPREAD_FLOATS.map(_midpoint_text), st.integers(19, 20)).map(
+            lambda mid_sig: _cut_significant(*mid_sig)),
+    ),
+).map("".join).filter(lambda f: any(c.isdigit() for c in f))
+
+
+def _rows_text(fields: list[str], ncols: int) -> str:
+    return "".join(",".join(fields[i:i + ncols]) + "\n" for i in range(0, len(fields), ncols))
+
+
+def _read_as(wide: str, text: str, ncols: int):
+    """``_read_decimal_rows`` with the platform's long double, or with a plain double as the wide type."""
+    with pytest.MonkeyPatch.context() as mp:
+        if wide == "double":
+            mp.setattr(network, "_WIDE", network._wide_float(np.float64))
+        return network._read_decimal_rows(text, ncols)
+
+
+class TestReadDecimalRows:
+    @given(st.lists(_PLAIN_DECIMAL, min_size=1, max_size=40), st.integers(1, 3),
+           st.sampled_from(["long double", "double"]))
+    @example(["18.47485606619456", "-72.1862122923906", "0.999990000000000101",
+              "-2077473.807332680909"], 2, "long double")
+    def test_matches_float_bit_for_bit(self, fields, ncols, wide):
+        fields = fields[: len(fields) - len(fields) % ncols] or fields[:1] * ncols
+        got = _read_as(wide, _rows_text(fields, ncols), ncols)
+        assert got is not None and got.shape == (len(fields) // ncols, ncols)
+        assert got.tobytes() == np.array([float(f) for f in fields]).tobytes(), fields
+
+    @pytest.mark.parametrize("wide", ["long double", "double"])
+    def test_midpoint_cuts_match_float(self, wide):
+        # 3,000 decimals cut to 17-19 significant digits from the midpoints
+        # of random doubles: where the wide type has 64 bits, rounding its
+        # quotient once more to float64 misses one correct rounding on dozens
+        rng = np.random.default_rng(3)
+        bits = rng.integers(*np.array([1e-3, 1e15]).view(np.int64).tolist(), 3000)
+        fields = [_cut_significant(_midpoint_text(x), int(sig))
+                  for x, sig in zip(bits.view(np.float64).tolist(), rng.integers(17, 20, 3000))]
+        got = _read_as(wide, _rows_text(fields, 1), 1)
+        want = np.array([float(f) for f in fields])
+        assert got.tobytes() == want.tobytes()
+        wide_type, _, pow10 = network._WIDE
+        if wide == "long double" and np.finfo(wide_type).nmant == 63:
+            m = np.array([int(f.replace(".", "")) for f in fields], dtype=np.uint64)
+            k = np.array([len(f.partition(".")[2]) for f in fields])
+            twice_rounded = (m.astype(wide_type) / pow10[k]).astype(np.float64)
+            assert np.count_nonzero(twice_rounded != want) > 30
+
+    @pytest.mark.parametrize("wide", ["long double", "double"])
+    @pytest.mark.parametrize("token", [
+        # the x87 quotients of these two lie on midpoints of two doubles, and
+        # a second rounding to float64 puts each 1 ulp off
+        pytest.param("18.47485606619456", id="midpoint-quotient-up"),
+        pytest.param("-72.1862122923906", id="midpoint-quotient-down"),
+        pytest.param("9007199254740993", id="integer-midpoint"),
+        pytest.param("-0.0", id="negative-zero"),
+        pytest.param(".5", id="no-integer-digits"),
+        pytest.param("5.", id="no-fraction-digits"),
+        pytest.param("123456789012345678901234567890", id="mantissa-saturates"),
+        pytest.param("0." + "0" * 29 + "1", id="fraction-beyond-exact-powers"),
+    ])
+    def test_regression_tokens(self, token, wide):
+        got = _read_as(wide, f"{token},{token}\n", 2)
+        assert got.tobytes() == np.array([float(token)] * 2).tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "", "1", "1,2", "1,2\n3\n", "\n", "1,2\n\n", "1,2\r\n", " 1,2\n", "+1,2\n",
+        "1e5,2\n", "1/2,3\n", "inf,2\n", "nan,2\n", "1_0,2\n", "\uff11,2\n", "1\t,2\n",
+        "1.2.3,4\n", "-,2\n", ".,2\n", ",2\n", "1-,2\n", "--1,2\n", ".-1,2\n", "1,2\n3;4\n",
+        "1\n2,3\n", "1,2,3\n4\n",
+    ])
+    def test_declines_other_text(self, text):
+        assert network._read_decimal_rows(text, 2) is None
+
+    def test_wide_constants(self):
+        # P significand bits; the largest K with 5**K < 2**P; 10**0..10**K exact
+        for dtype in (np.float64, np.longdouble):
+            bits = np.finfo(dtype).nmant + 1
+            wide, m_limit, pow10 = network._wide_float(dtype)
+            assert wide is dtype and m_limit == 2 ** min(bits, 64) - 1
+            assert 5 ** (pow10.size - 1) < 2**bits < 5**pow10.size
+            assert [int(p) for p in pow10] == [10**k for k in range(pow10.size)]
+        assert network._wide_float(np.float64)[2].size == 23  # Clinger's 10**22
+        assert network._WIDE[0] is np.longdouble
+
+    @pytest.mark.parametrize("source", ["str", "file", "lines"])
+    def test_clean_catalog_stays_on_the_decimal_reader(self, monkeypatch, tmp_path, source):
+        def fallback(*args, **kwargs):
+            raise AssertionError("block parsed by a fallback")
+
+        monkeypatch.setattr(network, "read_float_rows", fallback)
+        monkeypatch.setattr(network, "_parse_lines", fallback)
+        rng = np.random.default_rng(50)
+        lats, lons = rng.uniform(-90, 90, 50_000), rng.uniform(-180, 180, 50_000)
+        text = format_csv("lat,lon", zip(lats.tolist(), lons.tolist()))
+        if source == "file":
+            (tmp_path / "cat.csv").write_text(text, encoding="utf-8")
+            with open(tmp_path / "cat.csv", encoding="utf-8") as fh:
+                cat = load_catalog(fh)
+        else:
+            cat = load_catalog(text if source == "str" else text.splitlines())
+        assert cat.lats.tobytes() == lats.tobytes()
+        assert cat.lons.tobytes() == lons.tobytes()
+
+    def test_item_holding_a_newline_is_one_line(self):
+        # the block's three rows do not map to its two items: the reader's
+        # rows are not taken, and the item is rejected as one line
+        with pytest.raises(EewsimError,
+                           match=r"^catalog line 2: expected 'lat,lon', got '1,2\\n3,4'$"):
+            load_catalog(["lat,lon", "1,2\n3,4", "5,6"])
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_untranslated_line_ends_match_row_oracle(self, monkeypatch, tmp_path, chunk):
+        # a handle opened with newline="" keeps each \r and \r\n; its lines
+        # still end at \n, \r\n or \r
+        monkeypatch.setattr(network, "_CHUNK_LINES", chunk)
+        text = _messy_catalog(np.random.default_rng(chunk + 1), 300)
+        path = tmp_path / "cat.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as fh:
+            got = _outcome(load_catalog, fh)
+        assert got == _outcome(load_catalog_oracle, text)
+        assert np.frombuffer(got[0]).size == 300
 
 
 class TestSynthCatalog:

@@ -10,6 +10,7 @@ from eewsim.errors import EewsimError
 from eewsim.geo import DEFAULT_MMI_BINS, GeoPoint, MmiBin, cell_center, match_cells
 from eewsim.scenario import Earthquake, VelocityModel, s_arrivals_s
 from eewsim.warning import (
+    MAX_HIST_BUCKETS,
     AlertParams,
     WarningStats,
     mode_conditioned_detection,
@@ -243,6 +244,19 @@ class TestWarningStats:
             assert sum(h[2] for h in ws.histogram) == ws.population
             for (lo, hi, _), (lo2, _, _) in zip(ws.histogram, ws.histogram[1:]):
                 assert hi == lo2  # contiguous buckets
+
+    def test_bucket_count_bounded(self):
+        # warning times 0 and 2**20 s fill 2**20 + 1 one-second buckets, one
+        # too many, rejected before np.bincount allocates them
+        pop = make_grid([[1.0, 1.0]])
+        mmi = make_grid([[8.0, 8.0]])
+        field = field_with_warnings(make_grid([[0.0, 2.0**20]]), mmi, pop, [MmiBin(7.5, 8.5)])
+        with pytest.raises(EewsimError, match=r"^number of hist_width_s buckets "
+                                              r"must be <= 1048576, got 1048577$"):
+            warning_stats(field, 0.0, AlertParams())
+        assert MAX_HIST_BUCKETS == 2**20
+        (ws,) = warning_stats(field, 0.0, AlertParams(), 2.0**10)
+        assert len(ws.histogram) == 2**10 + 1
 
     def test_zero_population_cells_excluded(self):
         pop = make_grid([[0.0, 10.0]])

@@ -119,11 +119,10 @@ def cmd_exposure(run: _Run) -> None:
 
 def cmd_synth(run: _Run) -> None:
     """Write a synthetic catalog CSV drawn from the population raster."""
-    cfg = run.cfg
-    if cfg.synth_n is None:
+    if run.cfg.synth_n is None:
         raise EewsimError("cmd synth needs a [catalog] synth_n in the config")
     # the CSV round trip is exact, so a later simulate takes this catalog as is
-    run.catalog = cat = synth_catalog(run.pop, cfg.synth_n, cfg.synth_seed)
+    cat = run.catalog
     run.write("catalog.csv", format_csv("lat,lon", zip(cat.lats.tolist(), cat.lons.tolist())))
     run.say(f"built catalog.csv ({len(cat)} points)")
 

@@ -177,12 +177,13 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
-def _as_text(source: str | IO[str] | Iterable[str]) -> str:
-    if isinstance(source, str):
-        return source
-    if hasattr(source, "read"):
-        return source.read()
-    return "\n".join(source)
+def _as_text(source: str | IO[str]) -> str:
+    return source if isinstance(source, str) else source.read()
+
+
+def fold_newlines(text: str) -> str:
+    """``text`` with each ``\\r\\n`` and ``\\r`` line end made ``\\n``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def physical_lines(text: str) -> list[str]:
@@ -192,9 +193,7 @@ def physical_lines(text: str) -> list[str]:
     ``\\x85``, ``\\u2028`` and ``\\u2029``, which would shift the line an
     error names.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+    return fold_newlines(text).split("\n")
 
 
 def read_input(path: Path, what: str, parse: Callable[[IO[str]], T]) -> T:
@@ -242,7 +241,7 @@ def format_csv(header: str, rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_ascii_grid(source: str | IO[str] | Iterable[str]) -> Grid:
+def parse_ascii_grid(source: str | IO[str]) -> Grid:
     """Parse an ESRI ASCII grid.
 
     The six headers (ncols, nrows, xllcorner, yllcorner, cellsize,

@@ -12,22 +12,21 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from itertools import islice
-from typing import IO, Iterable, Iterator
+from itertools import chain
+from typing import IO, Iterator
 
 import numpy as np
 
 from .errors import EewsimError, in_range
-from .geo import Grid, normalize_lon, physical_lines, read_float_rows
+from .geo import Grid, fold_newlines, normalize_lon, read_float_rows
 
 # substream tags; never reuse a value for a new purpose
 STREAM_NETWORK = 1
 STREAM_TRIGGERS = 2
 STREAM_SYNTH = 3
 
-# catalog CSV body lines per parsed chunk of an iterable, and an eighth of the
-# characters per block of a file or string; bounds the loader's memory
-_CHUNK_LINES = 2**16
+# characters per block of catalog text; bounds the loader's memory
+_BLOCK_CHARS = 2**19
 
 
 @dataclass(frozen=True)
@@ -100,34 +99,35 @@ class Network:
 
 # --- catalog I/O -------------------------------------------------------------
 
-def load_catalog(source: str | IO[str] | Iterable[str], origin: str = "catalog") -> Catalog:
+def load_catalog(source: str | IO[str], origin: str = "catalog") -> Catalog:
     """Read a catalog CSV: header ``lat,lon``, one point per line.
 
-    The text is streamed. A ``str`` (through universal newlines) and a
-    file handle are read in blocks of about ``8 * _CHUNK_LINES``
-    characters, each cut after its last ``\\n``, and their lines end at
-    ``\\n``, ``\\r\\n`` or ``\\r``; any other iterable yields one line per
-    item, taken ``_CHUNK_LINES`` at a time. A block of plain decimals is
-    read by :func:`_read_decimal_rows`. Any other block is parsed by
-    numpy's C reader (once more without its whitespace-only lines, which
-    that reader rejects), or line by line with ``float`` where that reader
-    fails, so working memory is one block plus the output arrays. Blank
-    lines are skipped, and an error names its 1-based line.
+    ``source`` is a ``str`` or a text stream. Its text is streamed in
+    blocks of whole lines (:func:`_body_blocks`), which also give the
+    header: the first non-blank line. A block of plain decimals is read by
+    :func:`_read_decimal_rows`. Numpy's C reader parses any other block
+    once, on its non-blank lines, and where it fails, ``float`` parses the
+    block line by line; so working memory is one block plus the output
+    arrays. Blank lines are skipped, and an error names its 1-based line.
     """
-    lines = iter(io.StringIO(source, newline=None) if isinstance(source, str) else source)
-    for header_no, line in enumerate(lines, 1):
-        header = line.strip()
-        if header:
+    blocks = _body_blocks(io.StringIO(source) if isinstance(source, str) else source)
+    header_no = 1
+    for text in blocks:
+        body = text.lstrip()
+        header_no += text.count("\n", 0, len(text) - len(body))
+        if body:
             break
     else:
         raise EewsimError(f"{origin}: file is empty")
+    header, _, body = body.partition("\n")
+    header = header.rstrip()
     if [c.strip().lower() for c in header.split(",")] != ["lat", "lon"]:
         raise EewsimError(f"{origin} line {header_no}: expected header 'lat,lon', got {header!r}")
 
     chunks = []
     first_lineno = header_no + 1
-    for text, block_lines in _body_blocks(lines):
-        vals, nlines = _parse_chunk(text, block_lines, first_lineno, origin)
+    for text in chain([body] if body else [], blocks):
+        vals, nlines = _parse_chunk(text, first_lineno, origin)
         chunks.append(vals)
         first_lineno += nlines
     vals = np.concatenate(chunks) if chunks else np.empty((0, 2))
@@ -136,26 +136,24 @@ def load_catalog(source: str | IO[str] | Iterable[str], origin: str = "catalog")
     return Catalog(lats=vals[:, 0], lons=vals[:, 1])
 
 
-def _body_blocks(lines: IO[str] | Iterator[str]) -> Iterator[tuple[str, list[str] | None]]:
-    """The rest of ``lines`` in blocks of whole lines, each block ended by ``\\n``.
+def _body_blocks(fh: IO[str]) -> Iterator[str]:
+    """The text of ``fh`` in blocks of whole lines, each line ended by ``\\n``.
 
-    Yields each block's text and, where ``lines`` gives one line per item
-    rather than being readable, those items.
+    ``fh`` is read ``_BLOCK_CHARS`` characters at a time, and each read is
+    cut after its last line end: a ``\\n``, or a ``\\r`` that is not its
+    last character (a ``\\n`` may follow). A line ends at ``\\n``,
+    ``\\r\\n`` or ``\\r``, and each block gets ``\\n`` for all three.
     """
-    if hasattr(lines, "read"):
-        rest = ""
-        while block := lines.read(8 * _CHUNK_LINES):
-            cut = block.rfind("\n") + 1
-            if cut:
-                yield rest + block[:cut], None
-                rest = block[cut:]
-            else:
-                rest += block
-        if rest:
-            yield rest + "\n", None
-    else:
-        while chunk := list(islice(lines, _CHUNK_LINES)):
-            yield "\n".join(chunk) + "\n", chunk
+    rest = ""
+    while block := fh.read(_BLOCK_CHARS):
+        cut = max(block.rfind("\n"), block.rfind("\r", 0, -1)) + 1
+        if cut:
+            yield fold_newlines(rest + block[:cut])
+            rest = block[cut:]
+        else:
+            rest += block
+    if rest:
+        yield fold_newlines(rest + "\n")
 
 
 def _in_domain(vals: np.ndarray) -> bool:
@@ -163,20 +161,15 @@ def _in_domain(vals: np.ndarray) -> bool:
     return bool(np.isfinite(vals).all() and (np.abs(vals[:, 0]) <= 90.0).all())
 
 
-def _parse_chunk(text: str, lines: list[str] | None, first_lineno: int,
-                 origin: str) -> tuple[np.ndarray, int]:
-    """Parse a block of body lines into an (m, 2) array of lat, lon rows; also count its lines.
-
-    ``lines`` are the block's lines where they came one per item, else None.
-    """
+def _parse_chunk(text: str, first_lineno: int, origin: str) -> tuple[np.ndarray, int]:
+    """Parse a block of body lines, each ended by ``\\n``, into an (m, 2) array
+    of lat, lon rows; also count its lines."""
     vals = _read_decimal_rows(text, 2)
-    if vals is not None and (lines is None or len(vals) == len(lines)) and _in_domain(vals):
+    if vals is not None and _in_domain(vals):
         return vals, len(vals)
-    if lines is None:
-        lines = physical_lines(text)[:-1]
-    vals = read_float_rows(lines, delimiter=",")
-    if vals is None:  # numpy's reader rejects whitespace-only lines: retry without them
-        vals = read_float_rows([ln for ln in lines if ln.strip()], delimiter=",")
+    lines = text.split("\n")[:-1]
+    # numpy's reader rejects whitespace-only lines
+    vals = read_float_rows([ln for ln in lines if ln.strip()], delimiter=",")
     if vals is None or vals.shape[1] != 2 or not _in_domain(vals):
         vals = _parse_lines(lines, first_lineno, origin)
     return vals, len(lines)

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -95,11 +96,14 @@ def _outcome(loader, source):
 
 
 def _outcomes(loader, text: str, path) -> list:
-    """What ``loader`` makes of ``text`` as a str, a file handle and a list of lines."""
+    """What ``loader`` makes of ``text`` as a str, a file read with universal and
+    with untranslated newlines, and an ``io.StringIO``."""
     path.write_text(text, encoding="utf-8", newline="")
-    with open(path, encoding="utf-8") as fh:
-        from_file = _outcome(loader, fh)
-    return [_outcome(loader, text), from_file, _outcome(loader, text.splitlines())]
+    got = [_outcome(loader, text)]
+    for newline in (None, ""):
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            got.append(_outcome(loader, fh))
+    return got + [_outcome(loader, io.StringIO(text))]
 
 
 # catalog lines: good rows numpy's reader takes, good rows only float takes
@@ -134,7 +138,7 @@ _HEADER_ERRORS = {
 class TestLoadCatalogStreaming:
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_matches_row_oracle(self, monkeypatch, tmp_path, chunk):
-        monkeypatch.setattr(network, "_CHUNK_LINES", chunk)
+        monkeypatch.setattr(network, "_BLOCK_CHARS", 8 * chunk)
         text = _messy_catalog(np.random.default_rng(chunk), 300)
         got = _outcomes(load_catalog, text, tmp_path / "cat.csv")
         assert got == _outcomes(load_catalog_oracle, text, tmp_path / "cat.csv")
@@ -154,7 +158,7 @@ class TestLoadCatalogStreaming:
         "-90.000001,-72.1",
     ])
     def test_bad_row_in_later_chunk_matches_oracle(self, monkeypatch, tmp_path, bad):
-        monkeypatch.setattr(network, "_CHUNK_LINES", 4)
+        monkeypatch.setattr(network, "_BLOCK_CHARS", 32)
         good = "".join(f"18.{k},-72.{k}\n" for k in range(1, 10))
         text = f"lat,lon\n{good}\n{bad}\r\n{good}"
         got = _outcomes(load_catalog, text, tmp_path / "cat.csv")
@@ -163,10 +167,10 @@ class TestLoadCatalogStreaming:
 
     @pytest.mark.parametrize("text", list(_HEADER_ERRORS))
     def test_header_and_empty_cases_match_oracle(self, monkeypatch, tmp_path, text):
-        monkeypatch.setattr(network, "_CHUNK_LINES", 1)
+        monkeypatch.setattr(network, "_BLOCK_CHARS", 8)
         got = _outcomes(load_catalog, text, tmp_path / "cat.csv")
         assert got == _outcomes(load_catalog_oracle, text, tmp_path / "cat.csv")
-        assert got == [(EewsimError, _HEADER_ERRORS[text])] * 3
+        assert got == [(EewsimError, _HEADER_ERRORS[text])] * 4
 
     @pytest.mark.filterwarnings("error::UserWarning")
     @given(
@@ -179,19 +183,19 @@ class TestLoadCatalogStreaming:
         # must give the oracle's values, or its error for the same line
         text = newline.join(["lat,lon", *lines, ""])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(network, "_CHUNK_LINES", chunk)
-            got = [_outcome(load_catalog, text), _outcome(load_catalog, text.splitlines())]
+            mp.setattr(network, "_BLOCK_CHARS", 8 * chunk)
+            got = [_outcome(load_catalog, text), _outcome(load_catalog, io.StringIO(text))]
         want = _outcome(load_catalog_oracle, text)
         assert got == [want, want]
 
     @pytest.mark.parametrize("blank", ["  ", "\t", " \t "])
     def test_whitespace_only_lines_stay_on_the_reader(self, monkeypatch, blank):
-        # numpy's reader rejects a whitespace-only line; the chunk is read
-        # again without such lines, not line by line with float
+        # numpy's reader rejects a whitespace-only line; the block is read
+        # by it without such lines, not line by line with float
         def per_line(*args):
-            raise AssertionError("chunk parsed line by line")
+            raise AssertionError("block parsed line by line")
 
-        monkeypatch.setattr(network, "_CHUNK_LINES", 16)
+        monkeypatch.setattr(network, "_BLOCK_CHARS", 128)
         monkeypatch.setattr(network, "_parse_lines", per_line)
         rng = np.random.default_rng(len(blank))
         lines = ["lat,lon"]
@@ -205,26 +209,30 @@ class TestLoadCatalogStreaming:
             assert np.frombuffer(got[0]).size == 60
 
     def test_memory_bounded_by_one_chunk(self, monkeypatch, tmp_path):
-        # The output is 16 bytes a row. At the end the chunk arrays, their
+        # The output is 16 bytes a row. At the end the block arrays, their
         # concatenation and the Catalog's private lat/lon copies coexist:
-        # three times that. One chunk of lines, their stripped copies, the
-        # joined text and its tokens take under 1 KB a line of this length.
-        monkeypatch.setattr(network, "_CHUNK_LINES", 2**12)
+        # three times that. One block of text, its lines, their stripped
+        # copies and its tokens take under 128 bytes a character. A file
+        # whose lines end in \r alone, read without newline translation, is
+        # cut into blocks at its \r's too.
+        monkeypatch.setattr(network, "_BLOCK_CHARS", 2**15)
         n = 200_000
         rng = np.random.default_rng(0)
         path = tmp_path / "cat.csv"
-        rows = zip(rng.uniform(17.9, 19.9, n).tolist(), rng.uniform(-74.4, -71.7, n).tolist())
-        path.write_text("lat,lon\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
-        bound = 3 * 16 * n + 1024 * network._CHUNK_LINES
-        tracemalloc.start()
-        try:
-            with open(path, encoding="utf-8") as fh:
-                cat = load_catalog(fh)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(cat) == n
-        assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+        rows = list(zip(rng.uniform(17.9, 19.9, n).tolist(), rng.uniform(-74.4, -71.7, n).tolist()))
+        bound = 3 * 16 * n + 128 * network._BLOCK_CHARS
+        for end, newline in [("\n", None), ("\r", "")]:
+            path.write_text(f"lat,lon{end}" + "".join(f"{a!r},{b!r}{end}" for a, b in rows),
+                            newline="")
+            tracemalloc.start()
+            try:
+                with open(path, encoding="utf-8", newline=newline) as fh:
+                    cat = load_catalog(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(cat) == n
+            assert peak < bound, f"{end!r}: peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 def _midpoint_text(x: float) -> str:
@@ -349,7 +357,7 @@ class TestReadDecimalRows:
         assert network._wide_float(np.float64)[2].size == 23  # Clinger's 10**22
         assert network._WIDE[0] is np.longdouble
 
-    @pytest.mark.parametrize("source", ["str", "file", "lines"])
+    @pytest.mark.parametrize("source", ["str", "file", "crlf-file"])
     def test_clean_catalog_stays_on_the_decimal_reader(self, monkeypatch, tmp_path, source):
         def fallback(*args, **kwargs):
             raise AssertionError("block parsed by a fallback")
@@ -359,27 +367,30 @@ class TestReadDecimalRows:
         rng = np.random.default_rng(50)
         lats, lons = rng.uniform(-90, 90, 50_000), rng.uniform(-180, 180, 50_000)
         text = format_csv("lat,lon", zip(lats.tolist(), lons.tolist()))
-        if source == "file":
-            (tmp_path / "cat.csv").write_text(text, encoding="utf-8")
-            with open(tmp_path / "cat.csv", encoding="utf-8") as fh:
-                cat = load_catalog(fh)
+        if source == "str":
+            cat = load_catalog(text)
         else:
-            cat = load_catalog(text if source == "str" else text.splitlines())
+            crlf = source == "crlf-file"  # read without newline translation
+            (tmp_path / "cat.csv").write_text(text, encoding="utf-8",
+                                              newline="\r\n" if crlf else None)
+            with open(tmp_path / "cat.csv", encoding="utf-8", newline="" if crlf else None) as fh:
+                cat = load_catalog(fh)
         assert cat.lats.tobytes() == lats.tobytes()
         assert cat.lons.tobytes() == lons.tobytes()
 
-    def test_item_holding_a_newline_is_one_line(self):
-        # the block's three rows do not map to its two items: the reader's
-        # rows are not taken, and the item is rejected as one line
-        with pytest.raises(EewsimError,
-                           match=r"^catalog line 2: expected 'lat,lon', got '1,2\\n3,4'$"):
-            load_catalog(["lat,lon", "1,2\n3,4", "5,6"])
+    @pytest.mark.parametrize("source", ["str", "StringIO"])
+    def test_lone_cr_after_header(self, source):
+        # io.StringIO does not translate newlines; its header line still
+        # ends at the \r, as a str's does
+        text = "lat,lon\r18.5,-72.3\n"
+        cat = load_catalog(text if source == "str" else io.StringIO(text))
+        assert cat.lats.tolist() == [18.5] and cat.lons.tolist() == [-72.3]
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_untranslated_line_ends_match_row_oracle(self, monkeypatch, tmp_path, chunk):
         # a handle opened with newline="" keeps each \r and \r\n; its lines
         # still end at \n, \r\n or \r
-        monkeypatch.setattr(network, "_CHUNK_LINES", chunk)
+        monkeypatch.setattr(network, "_BLOCK_CHARS", 8 * chunk)
         text = _messy_catalog(np.random.default_rng(chunk + 1), 300)
         path = tmp_path / "cat.csv"
         path.write_text(text, encoding="utf-8", newline="")

@@ -148,13 +148,7 @@ def load_catalog_oracle(source, origin: str = "catalog") -> Catalog:
     The straightforward form of ``load_catalog``, kept as its oracle: it
     holds the whole text and checks and converts each line in turn.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = "\n".join(source)
-    lines = text.splitlines()
+    lines = _as_text(source).splitlines()
 
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
     if not rows:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EewsimError, in_range
 from .geo import GeoPoint, haversine_km
-from .network import Network, SeedSpec, STREAM_TRIGGERS
+from .network import Catalog, Network, SeedSpec, STREAM_TRIGGERS, philox_raws, random_doubles, seed_keys
 from .scenario import Earthquake, VelocityModel, p_arrivals_s
 
 
@@ -106,6 +106,61 @@ def simulate_triggers(
     if (ranked[1:] == ranked[:-1]).any():
         order = np.lexsort((lons, lats, times))
     return Triggers(times[order], lats[order], lons[order])
+
+
+def trigger_times(arrivals: np.ndarray, pp: PhoneParams, master_seed: int, replicas: np.ndarray) -> np.ndarray:
+    """Each replica's trigger times on its network, as :func:`simulate_triggers` draws them, unsorted.
+
+    ``arrivals`` holds the P arrival of each replica's n phones, one row
+    per replica. Each row takes its trigger stream's first 2n raw words:
+    ``random(n)`` picks the phones that notice, ``uniform(delay_lo_s,
+    delay_hi_s, n)`` their delays. A phone that does not trigger gets
+    time inf.
+    """
+    n = arrivals.shape[1]
+    raws = philox_raws(seed_keys(master_seed, n, replicas, STREAM_TRIGGERS), 2 * n)
+    times = arrivals + (pp.delay_lo_s + (pp.delay_hi_s - pp.delay_lo_s) * random_doubles(raws[:, n:]))
+    times[random_doubles(raws[:, :n]) >= pp.p_detect] = np.inf
+    return times
+
+
+def detect_rows(
+    times: np.ndarray, idx: np.ndarray, cat: Catalog, dp: DetectorParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`detect` on each row of trigger times from :func:`trigger_times`.
+
+    ``idx`` holds the rows' catalog indices. Each row is put in (time, lat,
+    lon) order: by time alone, unless the row holds two equal finite
+    times. A time of inf never fires, since inf - window_s is inf. Returns
+    which rows fired, and for those rows the detection time and the
+    coordinate-wise median of the k_min contributors.
+    """
+    k = dp.k_min
+    rows, n = times.shape
+    if n < k:
+        nothing = np.empty(0)
+        return np.zeros(rows, bool), nothing, nothing, nothing
+    order = np.argsort(times, axis=1)
+    ranked = np.take_along_axis(times, order, axis=1)
+    tied = np.flatnonzero(((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < np.inf)).any(axis=1))
+    if tied.size:
+        at = idx[tied]
+        order[tied] = np.lexsort((cat.lons[at], cat.lats[at], times[tied]))
+        ranked[tied] = np.take_along_axis(times[tied], order[tied], axis=1)
+    fire = ranked[:, : n - k + 1] > ranked[:, k - 1 :] - dp.window_s
+    first = fire.argmax(axis=1)
+    fired = fire[np.arange(rows), first]
+    hit, first = np.flatnonzero(fired), first[fired]
+    contributors = np.take_along_axis(idx[hit], order[hit[:, None], first[:, None] + np.arange(k)], axis=1)
+    return (fired, ranked[hit, first + k - 1],
+            _median_rows(cat.lats[contributors]), _median_rows(cat.lons[contributors]))
+
+
+def _median_rows(values: np.ndarray) -> np.ndarray:
+    """:func:`_median` of each row; the stable sort keeps -0.0 and 0.0 in row order, as ``sorted`` does."""
+    v = np.sort(values, axis=1, kind="stable")
+    i = v.shape[1] // 2
+    return v[:, i] if v.shape[1] % 2 else (v[:, i - 1] + v[:, i]) / 2
 
 
 def _median(values: list[float]) -> float:

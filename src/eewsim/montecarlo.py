@@ -15,11 +15,13 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .detection import DetectorParams, PhoneParams, detect, detection_metrics, simulate_triggers
+from .detection import (
+    DetectorParams, PhoneParams, detect, detect_rows, detection_metrics, simulate_triggers, trigger_times,
+)
 from .errors import EewsimError, in_range
-from .geo import GeoPoint, Grid, cell_center, format_csv, normalize_lon, physical_lines
-from .network import Catalog, SeedSpec, sample_network
-from .scenario import Earthquake, VelocityModel
+from .geo import GeoPoint, Grid, cell_center, format_csv, haversine_km_from, normalize_lon, physical_lines
+from .network import Catalog, SeedSpec, check_network_size, sample_network, sample_networks
+from .scenario import Earthquake, VelocityModel, p_arrivals_s
 
 
 RUNS_HEADER = "n,replica,detected,delay_s,distance_km,det_lat,det_lon"
@@ -32,6 +34,10 @@ RUNS_DTYPE = np.dtype(
     align=True,
 )
 _UNDETECTED = (False, math.nan, math.nan, math.nan, math.nan)
+
+# raw trigger-stream words per block of replicas, 2n per replica: bounds
+# the size of every array the campaign kernel holds at once
+_BLOCK_WORDS = 2**18
 
 
 def _runs(rows: list[tuple]) -> np.recarray:
@@ -67,14 +73,16 @@ def percentile(values: Iterable[float], p: float) -> float:
     v[floor(h)] + (h - floor(h)) * (v[floor(h) + 1] - v[floor(h)]).
     """
     in_range("percentile", p, 0, 100)
-    v = sorted(float(x) for x in values)
-    if not v:
+    # stable, so that -0.0 and 0.0 keep their input order, as sorted() keeps them
+    v = np.sort(np.fromiter(values, np.float64), kind="stable")
+    if not v.size:
         raise EewsimError("percentile of an empty collection")
-    h = (len(v) - 1) * p / 100.0
+    h = (v.size - 1) * p / 100.0
     i = math.floor(h)
-    if i >= len(v) - 1:
-        return v[-1]
-    return v[i] + (h - i) * (v[i + 1] - v[i])
+    if i >= v.size - 1:
+        return float(v[-1])
+    lo, hi = v[i : i + 2].tolist()
+    return lo + (h - i) * (hi - lo)
 
 
 def mean(values: list[float]) -> float:
@@ -137,16 +145,44 @@ def run_campaign(
 ) -> tuple[list[McSummary], np.recarray]:
     """Run replicas for every n in the grid; return per-n summaries and the runs array.
 
-    An n with zero detections yields a summary with rate 0 and absent
-    statistics rather than failing the campaign.
+    Each row equals :func:`run_replica` for its (n, replica), bit for bit.
+    The replicas of one n run as blocks of (replicas x n) arrays: sampling
+    (:func:`sample_networks`), triggers (:func:`trigger_times`) and the
+    detector (:func:`detect_rows`). Each catalog point's P arrival is
+    computed once, when a network first holds it. An n with zero
+    detections yields a summary with rate 0 and absent statistics rather
+    than failing the campaign.
     """
     in_range("replicas", replicas, 1)
-    rows = []
-    for n in n_grid:
-        for r in range(replicas):
-            metrics = run_replica(cat, eq, vm, pp, dp, n, r, master_seed)
-            rows.append((n, r, *_UNDETECTED) if metrics is None else (n, r, True, *metrics))
-    runs = _runs(rows)
+    runs = np.zeros(len(n_grid) * replicas, RUNS_DTYPE)
+    for name in ("delay_s", "distance_km", "lat", "lon"):
+        runs[name] = math.nan
+    arrivals = np.empty(len(cat))
+    held = np.zeros(len(cat), bool)  # points some network has held
+    known = np.zeros(len(cat), bool)  # points whose arrival is computed
+    for i, n in enumerate(n_grid):
+        SeedSpec(master_seed, n, 0)  # the checks of run_replica, in its order
+        check_network_size(n, len(cat))
+        out = runs[i * replicas:(i + 1) * replicas]
+        out["n"] = n
+        out["replica"] = np.arange(replicas)
+        block = max(1, _BLOCK_WORDS // (2 * n))
+        for start in range(0, replicas, block):
+            reps = np.arange(start, min(start + block, replicas))
+            idx = sample_networks(len(cat), n, master_seed, reps)
+            held[idx] = True
+            fresh = np.flatnonzero(held > known)
+            arrivals[fresh] = p_arrivals_s(eq, vm, cat.lats[fresh], cat.lons[fresh])
+            known[fresh] = True
+            times = trigger_times(arrivals[idx], pp, master_seed, reps)
+            fired, time_s, lat, lon = detect_rows(times, idx, cat, dp)
+            hit = reps[fired]
+            out["detected"][hit] = True
+            out["delay_s"][hit] = time_s - eq.origin_time_s
+            out["distance_km"][hit] = haversine_km_from(lat, lon, eq.epicenter)
+            out["lat"][hit], out["lon"][hit] = lat, lon
+    runs = runs.view(np.recarray)
+    runs.flags.writeable = False
     return [summarize(n, runs[runs.n == n]) for n in n_grid], runs
 
 

@@ -1,11 +1,21 @@
 """Phone-location catalogs, reproducible seeding and network sampling.
 
 All randomness in a simulation flows through :class:`SeedSpec`. Each
-(master_seed, n, replica) triple keys an independent substream via numpy's
-SeedSequence entropy mixing on top of the counter-based Philox generator,
-so replicas can run in any order with bit-identical results. Separate
-stream tags keep network sampling and trigger simulation decorrelated
-within one replica.
+(master_seed, n, replica) triple keys an independent substream: numpy's
+SeedSequence hash of (master_seed, n, replica, stream) gives the key of a
+counter-based Philox generator, so replicas can run in any order with
+bit-identical results. Separate stream tags keep network sampling and
+trigger simulation decorrelated within one replica.
+
+The campaign draws all replicas of one n at once. :func:`seed_keys`
+computes the SeedSequence hash on arrays, :func:`philox_raws` reads each
+key's raw Philox words, and the draws are formulas on those words, bit for
+bit as ``Generator.random``, ``uniform`` and ``integers`` give them. So
+output bytes depend on SeedSequence, Philox and these formulas, not on
+``Generator`` method internals, which NumPy's NEP 19 does not promise to
+keep across releases; only a replica whose network draw meets a Lemire
+rejection takes ``Generator.integers`` (:func:`sample_networks`).
+``SeedSpec.generator`` is the one-replica reference.
 """
 
 from __future__ import annotations
@@ -45,6 +55,105 @@ class SeedSpec:
     def generator(self, stream: int) -> np.random.Generator:
         ss = np.random.SeedSequence((self.master_seed, self.n, self.replica, stream))
         return np.random.Generator(np.random.Philox(ss))
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(x: int) -> list[int]:
+    """``x`` >= 0 as SeedSequence reads an int: its uint32 words, least significant first."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def seed_keys(master_seed: int, n: int, replicas: np.ndarray, stream: int) -> np.ndarray:
+    """The Philox key of ``SeedSpec(master_seed, n, r).generator(stream)`` for each replica r.
+
+    That key is ``SeedSequence((master_seed, n, r, stream)).generate_state(2,
+    np.uint64)``, here computed for all r at once by the same uint32 hash:
+    the tuple's words are mixed into a pool of four, and the pool is hashed
+    into four output words, read as two little-endian uint64. Returns a
+    (len(replicas), 2) uint64 array.
+    """
+    r = np.asarray(replicas, dtype=np.uint64)
+    keys = np.empty((r.size, 2), np.uint64)
+    for wide in (False, True):  # r takes one uint32 word below 2**32, two from there
+        rows = (r > _MASK32) == wide
+        if rows.any():
+            rr = r[rows]
+            replica_words = [rr & _MASK32, rr >> 32] if wide else [rr]
+            entropy = [np.full(rr.size, w, np.uint32) for w in _uint32_words(master_seed) + _uint32_words(n)]
+            entropy += [w.astype(np.uint32) for w in replica_words]
+            entropy += [np.full(rr.size, w, np.uint32) for w in _uint32_words(stream)]
+            keys[rows] = _seed_sequence_key(entropy)
+    return keys
+
+
+def _seed_sequence_key(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(words).generate_state(2, np.uint64)`` for each row of the word columns."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return out ^ (out >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * np.uint32(hash_const)
+        state.append((word ^ (word >> 16)).astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def philox_raws(keys: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` raw 64-bit words of ``Philox(key=k)`` for each key row k.
+
+    One Philox is re-keyed through its ``state`` for each row, which gives
+    the stream of a fresh generator (counter 0, empty buffer) at a fraction
+    of the cost of building one. Returns a (len(keys), count) uint64 array.
+    """
+    bitgen = np.random.Philox(0)
+    state = bitgen.state  # a fresh generator's counter, buffer and flags
+    out = np.empty((len(keys), count), np.uint64)
+    for row, key in zip(out, keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        row[:] = bitgen.random_raw(count)
+    return out
+
+
+def random_doubles(raws: np.ndarray) -> np.ndarray:
+    """``Generator.random`` from its raw words: the top 53 bits of each, times 2**-53.
+
+    ``Generator.uniform(lo, hi)`` is ``lo + (hi - lo) * random`` on the next words.
+    """
+    return (raws >> 11) * 2.0**-53
 
 
 def _coord_arrays(lats, lons) -> tuple[np.ndarray, np.ndarray]:
@@ -301,37 +410,93 @@ def synth_catalog(pop: Grid, n_points: int, seed: int) -> Catalog:
 def sample_network(cat: Catalog, n: int, seed: SeedSpec) -> Network:
     """Sample n distinct catalog points, uniformly over all n-subsets.
 
-    Partial Fisher-Yates over a virtual index array: all swap targets
-    js[i] >= i are drawn in one vectorized call, so the result is a pure
-    function of the seed, and a replica costs O(n log n) whatever the
-    catalog size. Step i takes the value at position js[i]: js[i] itself,
-    unless an earlier step wrote there. The last such step, prev[i], wrote
-    the value its own position held at its turn, which is prev[i] unless an
-    earlier step g[prev[i]] wrote there (g[k] is the last k' < k with
-    js[k'] == k), and so on down the chain. Pointer doubling resolves all
-    chains at once.
+    The one-replica form of :func:`sample_networks`: the swap targets come
+    from ``seed.generator(STREAM_NETWORK).integers``.
     """
     N = len(cat)
+    check_network_size(n, N)
+    js = seed.generator(STREAM_NETWORK).integers(np.arange(n), N)
+    idx = _fisher_yates(js[None])[0]
+    return Network(lats=cat.lats[idx], lons=cat.lons[idx], catalog_indices=idx)
+
+
+def check_network_size(n: int, N: int) -> None:
+    """The network size rule: 1 <= n <= N for a catalog of N points."""
     in_range("network size", n, 1)
     if n > N:
         raise EewsimError(f"network size {n} exceeds catalog size {N}")
-    rng = seed.generator(STREAM_NETWORK)
-    steps = np.arange(n)
-    js = rng.integers(steps, N)
 
+
+def sample_networks(N: int, n: int, master_seed: int, replicas: np.ndarray) -> np.ndarray:
+    """The catalog indices :func:`sample_network` draws for each replica, one row each.
+
+    Step i's swap target is ``integers(i, N)``, which ``Generator`` draws
+    by Lemire's method from the stream's uint32 halves, low half first:
+    u * (N - i) >> 32 for the next half u, unless its low 32 bits fall
+    below (2**32 - (N - i)) mod (N - i), when it rejects u and takes the
+    next. A step with one value, i = N - 1, draws nothing; it is the last
+    step, so taking it as a draw with bound 1, which gives i whatever u
+    is, changes no value. A row with a rejection, and every row of a
+    catalog of 2**32 points or more, where ``Generator`` takes other paths,
+    draws from ``SeedSpec.generator``. Returns a (len(replicas), n) int64
+    array.
+    """
+    check_network_size(n, N)
+    steps = np.arange(n)
+    if N <= _MASK32:
+        bound = (N - steps).astype(np.uint64)
+        raws = philox_raws(seed_keys(master_seed, n, replicas, STREAM_NETWORK), (n + 1) // 2)
+        scaled = raws.astype("<u8", copy=False).view("<u4")[:, :n] * bound
+        rejected = ((scaled & _MASK32) < (2**32 - bound) % bound).any(axis=1)
+        scaled >>= 32
+        js = scaled.view(np.int64)
+        js += steps
+    else:
+        js = np.empty((len(replicas), n), np.int64)
+        rejected = np.ones(len(replicas), bool)
+    for row in np.flatnonzero(rejected).tolist():
+        js[row] = SeedSpec(master_seed, n, int(replicas[row])).generator(STREAM_NETWORK).integers(steps, N)
+    return _fisher_yates(js)
+
+
+def _fisher_yates(js: np.ndarray) -> np.ndarray:
+    """Each row's partial Fisher-Yates sample from its swap targets js[:, i] >= i.
+
+    Partial Fisher-Yates over a virtual index array, so a row costs
+    O(n log n) whatever the catalog size. Step i takes the value at
+    position js[i]: js[i] itself, unless an earlier step wrote there. The
+    last such step, prev[i], wrote the value its own position held at its
+    turn, which is prev[i] unless an earlier step g[prev[i]] wrote there
+    (g[k] is the last k' < k with js[k'] == k), and so on down the chain.
+    Pointer doubling resolves all chains of all rows at once. ``js`` is
+    overwritten with the result.
+    """
+    rows, n = js.shape
+    steps = np.arange(n)
     # the steps grouped by target in step order, as a stable argsort of js
     # gives them, from one faster sort of the distinct keys js * n + step
     # (below N**2, which int64 holds for any catalog that fits in memory)
-    targets, by_target = np.divmod(np.sort(js * n + steps), n)
-    dup = np.flatnonzero(targets[1:] == targets[:-1])
-    idx = js
-    if dup.size:  # else no step found its position written: idx is js
-        g = np.full(n, -1)
-        writes = (js < n) & (js != steps)
-        np.maximum.at(g, js[writes], steps[writes])
-        root = np.where(g < 0, steps, g)
+    # (built in place and dropped once read: this is the largest working
+    # set of the campaign kernel)
+    keys = js * n
+    keys += steps
+    keys.sort(axis=1)
+    targets, by_target = np.divmod(keys, n)
+    del keys
+    row, dup = np.nonzero(targets[:, 1:] == targets[:, :-1])
+    del targets
+    if row.size:  # else no step found its position written: js is the sample
+        # g and root index the rows' steps as one flat array, row r at r * n
+        r, k = np.nonzero((js < n) & (js != steps))
+        root = np.full(rows * n, -1)  # g, then each step's root
+        np.maximum.at(root, r * n + js[r, k], r * n + k)
+        del r, k
+        root[root < 0] = np.flatnonzero(root < 0)
+        # by_target[d + 1] repeats the target of by_target[d], its prev
+        base = row * n
+        step, prev = by_target[row, dup + 1], base + by_target[row, dup]
+        del by_target
         while not np.array_equal(hop := root[root], root):
             root = hop
-        # by_target[d + 1] repeats the target of by_target[d], its prev
-        idx[by_target[dup + 1]] = root[by_target[dup]]
-    return Network(lats=cat.lats[idx], lons=cat.lons[idx], catalog_indices=idx)
+        js[row, step] = root[prev] - base
+    return js

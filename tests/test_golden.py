@@ -4,9 +4,14 @@ Reruns being byte-identical only shows that a run is deterministic; these
 digests also catch a change that moves every run the same way. A change
 that alters outputs on purpose must update the digests and say why.
 
-Recorded with numpy 2.4.6 on Python 3.11 (x86-64). Another numpy release
-may draw different random streams or round differently, and then fail
-here without any change to eewsim.
+Recorded with numpy 2.4.6 on Python 3.11 (x86-64). The random draws
+depend on numpy's SeedSequence hash, the Philox cipher and the formulas
+in ``eewsim.network`` on its raw words, not on ``Generator`` method
+internals, which NumPy's NEP 19 does not promise to keep across
+releases; only a replica whose network draw meets a Lemire rejection
+takes ``Generator.integers``. Another numpy release may still round
+``exp``, ``sin`` or ``arcsin`` differently, and then fail here without
+any change to eewsim.
 """
 
 import hashlib

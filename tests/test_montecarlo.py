@@ -1,15 +1,17 @@
 import math
 import re
+import tracemalloc
 from statistics import fmean
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from eewsim import montecarlo
 from eewsim.detection import DetectorParams, PhoneParams
 from eewsim.errors import EewsimError
-from eewsim.geo import GeoPoint, cell_center
+from eewsim.geo import GeoPoint, cell_center, haversine_km, haversine_km_from
 from eewsim.montecarlo import (
     DensityGrid,
     RUNS_HEADER,
@@ -25,7 +27,7 @@ from eewsim.montecarlo import (
     write_summary_csv,
 )
 from eewsim.network import Catalog
-from eewsim.scenario import Earthquake, VelocityModel
+from eewsim.scenario import Earthquake, VelocityModel, p_arrivals_s
 from testutil import (
     LINE_BREAKS_NOT_NEWLINES,
     assert_runs_equal,
@@ -72,9 +74,21 @@ class TestPercentile:
         for _ in range(50):
             vals = rng.normal(size=int(rng.integers(1, 40))).tolist()
             p = float(rng.uniform(0, 100))
-            assert percentile(vals, p) == pytest.approx(
-                linear_percentile_oracle(vals, p), rel=1e-12, abs=1e-12
-            )
+            assert percentile(vals, p) == pytest.approx(np.percentile(vals, p), rel=1e-12, abs=1e-12)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=16) | st.sampled_from([0.0, -0.0]),
+                    min_size=1, max_size=50),
+           st.sampled_from([0.0, 2.5, 50.0, 97.5, 100.0]) | st.floats(0.0, 100.0))
+    def test_equal_bits_to_the_oracle(self, vals, p):
+        # few distinct values, so equal ones meet; -0.0 and 0.0 keep input order
+        assert percentile(vals, p).hex() == linear_percentile_oracle(vals, p).hex()
+
+    def test_signed_zeros_keep_input_order(self):
+        # the maximum is the last zero in input order; 34 values are enough
+        # for an unstable sort to move zeros
+        for zeros in ([0.0, -0.0], [-0.0, 0.0]):
+            assert percentile(zeros, 100).hex() == zeros[-1].hex()
+            assert percentile(zeros * 17, 100).hex() == zeros[-1].hex()
 
     def test_errors(self):
         with pytest.raises(EewsimError, match=r"^percentile of an empty collection$"):
@@ -112,6 +126,19 @@ class TestRunReplica:
 
 
 class TestCampaign:
+    @pytest.mark.parametrize("n, master_seed, message", [
+        (4, 1, "network size 4 exceeds catalog size 3"),
+        (0, 1, "network size must be >= 1, got 0"),
+        (-1, 1, "n must be >= 0, got -1"),
+        (3, 2**64, "master_seed must be in [0, 18446744073709551616), got 18446744073709551616"),
+    ])
+    def test_bad_n_or_seed_fails_as_run_replica_does(self, n, master_seed, message):
+        cat, eq, vm, pp, dp = deterministic_setup()
+        with pytest.raises(EewsimError, match=f"^{re.escape(message)}$"):
+            run_replica(cat, eq, vm, pp, dp, n=n, replica=0, master_seed=master_seed)
+        with pytest.raises(EewsimError, match=f"^{re.escape(message)}$"):
+            run_campaign(cat, eq, vm, pp, dp, [3, n], 2, master_seed)
+
     def test_zero_width_bands_when_deterministic(self):
         cat, eq, vm, pp, dp = deterministic_setup()
         summaries, results = run_campaign(cat, eq, vm, pp, dp, [3], 20, 5)
@@ -197,6 +224,103 @@ class TestCampaign:
         )
         delays = [s.delay_mean_s for s in summaries]
         assert delays[0] > delays[1] > delays[2]
+
+
+LATTICE = [i / 10 for i in range(-3, 4)] + [-0.0]
+
+
+@st.composite
+def campaign_cases(draw):
+    """A campaign on a small lattice catalog, and a block size for its kernel.
+
+    Points repeat, and with the epicenter on the lattice's centre distinct
+    points share a P arrival, so with equal delays trigger times tie
+    exactly, also between points with different coordinates.
+    """
+    N = draw(st.integers(1, 30))
+    points = draw(st.lists(st.tuples(st.sampled_from(LATTICE), st.sampled_from(LATTICE)),
+                           min_size=N, max_size=N))
+    lats, lons = map(np.array, zip(*points))
+    eq = Earthquake(epicenter=draw(st.sampled_from([GeoPoint(0.0, 0.0), GeoPoint(0.05, -0.13)])),
+                    depth_km=draw(st.sampled_from([0.0, 10.0])))
+    lo = draw(st.sampled_from([0.0, 0.5]))
+    pp = PhoneParams(p_detect=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+                     delay_lo_s=lo, delay_hi_s=lo + draw(st.sampled_from([0.0, 0.01, 3.0])))
+    dp = DetectorParams(k_min=draw(st.integers(2, 6)),
+                        window_s=draw(st.sampled_from([0.01, 0.3, 2.0, 100.0])))
+    n_grid = draw(st.lists(st.integers(1, N), min_size=1, max_size=4, unique=True))
+    args = (Catalog(lats=lats, lons=lons), eq, VelocityModel(), pp, dp)
+    return (args, n_grid, draw(st.integers(1, 12)), draw(st.integers(0, 2**64 - 1)),
+            draw(st.integers(1, 400)))
+
+
+def row_bits(row) -> tuple:
+    """A runs row with each float as its hex form, which tells -0.0 from 0.0."""
+    return tuple(x.hex() if isinstance(x, float) else x for x in row)
+
+
+def ring_case():
+    """Four points at equal distance around the epicenter trigger at one time:
+    k_min = 2 takes the first two in (lat, lon) order, not in network order."""
+    ring = Catalog(lats=np.array([0.1, 0.0, -0.1, 0.0]), lons=np.array([0.0, 0.1, 0.0, -0.1]))
+    eq = Earthquake(epicenter=GeoPoint(0.0, 0.0), depth_km=5.0)
+    pp = PhoneParams(p_detect=1.0, delay_lo_s=1.0, delay_hi_s=1.0)
+    return (ring, eq, VelocityModel(), pp, DetectorParams(k_min=2, window_s=1.0)), [4, 3], 12, 1, 40
+
+
+class TestCampaignKernel:
+    @given(campaign_cases())
+    @example(ring_case())
+    def test_rows_equal_run_replica(self, case):
+        args, n_grid, replicas, master_seed, block_words = case
+        with pytest.MonkeyPatch.context() as mp:
+            # small blocks: replica counts cross block boundaries
+            mp.setattr(montecarlo, "_BLOCK_WORDS", block_words)
+            _, runs = run_campaign(*args, n_grid, replicas, master_seed)
+            _, first = run_campaign(*args, n_grid, 1, master_seed)
+        for n, replica, detected, *metrics in runs.tolist():
+            want = run_replica(*args, n, replica, master_seed)
+            assert detected == (want is not None)
+            want = (math.nan,) * 4 if want is None else want
+            assert row_bits(metrics) == row_bits(want), (n, replica)
+        # replica r's row does not depend on how many replicas run
+        assert list(map(row_bits, first.tolist())) == [
+            row_bits(row) for row in runs.tolist() if row[1] == 0
+        ]
+
+    def test_memory_bounded_by_blocks(self, demo_catalog, demo_quake, vmodel):
+        # 3000 phones x 1000 replicas: unblocked, the raw trigger words alone
+        # take 48 MB and the kernel peaks near 160 MiB; in blocks of 2**18
+        # words (2 MiB) it peaks near 8 MiB
+        tracemalloc.start()
+        try:
+            run_campaign(demo_catalog, demo_quake, vmodel, PhoneParams(), DetectorParams(),
+                         [3000], 1000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @given(st.lists(st.tuples(st.floats(-90, 90), st.floats(-180, 180, exclude_max=True)),
+                    min_size=1, max_size=40),
+           st.floats(-90, 90), st.floats(-180, 180, exclude_max=True))
+    # a numpy scalar's ** 2 (libm pow) and an array's (x * x) differ here
+    @example([(50.821964642777516, 0.0)], 0.0, 4.0)
+    def test_distances_equal_haversine_km(self, points, lat, lon):
+        to = GeoPoint(lat, lon)
+        lats, lons = map(np.array, zip(*points))
+        want = [haversine_km(GeoPoint(a, b), to) for a, b in points]
+        assert haversine_km_from(lats, lons, to).tolist() == want
+
+    def test_arrivals_of_any_subset_equal_the_network_ones(self, demo_catalog, demo_quake, vmodel):
+        # the kernel computes each P arrival once, on the points not seen
+        # before; simulate_triggers computes them on each network
+        rng = np.random.default_rng(5)
+        every = p_arrivals_s(demo_quake, vmodel, demo_catalog.lats, demo_catalog.lons)
+        for size in (1, 7, 8, 9, 63, 500):
+            sel = rng.choice(len(demo_catalog), size, replace=False)
+            got = p_arrivals_s(demo_quake, vmodel, demo_catalog.lats[sel], demo_catalog.lons[sel])
+            assert got.tobytes() == every[sel].tobytes()
 
 
 class TestDetectionDensity:

@@ -13,10 +13,15 @@ from eewsim.errors import EewsimError
 from eewsim.geo import GeoPoint, format_csv
 from eewsim.network import (
     STREAM_NETWORK,
+    STREAM_TRIGGERS,
     Catalog,
     SeedSpec,
     load_catalog,
+    philox_raws,
+    random_doubles,
     sample_network,
+    sample_networks,
+    seed_keys,
     synth_catalog,
 )
 from testutil import (
@@ -535,3 +540,77 @@ class TestSeedSpec:
         spec = SeedSpec(42, 100, 0)
         assert not np.array_equal(spec.generator(1).random(8), spec.generator(2).random(8))
 
+
+
+class TestPhiloxFormulas:
+    """The batched seeding and draws against numpy's own SeedSequence and Generator calls."""
+
+    @staticmethod
+    def numpy_key(master_seed, n, replica, stream):
+        return np.random.SeedSequence((master_seed, n, replica, stream)).generate_state(2, np.uint64)
+
+    @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 3000, 2**32 - 1, 2**32, 2**40])
+    def test_keys_match_seed_sequence(self, master_seed, n):
+        replicas = np.array([0, 1, 999, 2**32 - 1, 2**32, 2**63 + 5], np.uint64)
+        for stream in (STREAM_NETWORK, STREAM_TRIGGERS):
+            want = [self.numpy_key(master_seed, n, int(r), stream) for r in replicas]
+            np.testing.assert_array_equal(seed_keys(master_seed, n, replicas, stream), want)
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 2**48),
+           st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    def test_keys_match_seed_sequence_property(self, master_seed, n, replicas):
+        got = seed_keys(master_seed, n, np.array(replicas, np.uint64), STREAM_TRIGGERS)
+        want = [self.numpy_key(master_seed, n, r, STREAM_TRIGGERS) for r in replicas]
+        np.testing.assert_array_equal(got, want)
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(0, 2**33),
+           st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+    def test_random_and_uniform_match_generator(self, master_seed, n, replica, lo, width):
+        hi = lo + width
+        gen = SeedSpec(master_seed, n, replica).generator(STREAM_TRIGGERS)
+        want_u, want_d = gen.random(n), gen.uniform(lo, hi, n)
+        keys = seed_keys(master_seed, n, np.array([replica]), STREAM_TRIGGERS)
+        u = random_doubles(philox_raws(keys, 2 * n))[0]
+        assert u[:n].tobytes() == want_u.tobytes()
+        assert (lo + (hi - lo) * u[n:]).tobytes() == want_d.tobytes()
+
+    @given(st.data(), st.integers(1, 5000), st.integers(0, 2**64 - 1))
+    def test_integers_match_generator(self, data, N, master_seed):
+        # sample_networks draws integers(arange(n), N) by Lemire's method;
+        # sample_network takes them from Generator.integers
+        n = data.draw(st.integers(1, min(N, 200)))
+        replicas = np.arange(data.draw(st.integers(1, 4)))
+        got = sample_networks(N, n, master_seed, replicas)
+        cat = Catalog(lats=np.zeros(N), lons=np.zeros(N))
+        for r in replicas.tolist():
+            want = sample_network(cat, n, SeedSpec(master_seed, n, r)).catalog_indices
+            assert got[r].tolist() == want.tolist()
+
+    def test_lemire_rejection_falls_back_to_generator(self, monkeypatch):
+        # recorded: replica 213 of (master_seed 11, n 60) rejects a draw on
+        # a 500,000-point catalog, so its later draws shift by one half-word
+        calls = []
+        generator = SeedSpec.generator
+        monkeypatch.setattr(SeedSpec, "generator", lambda spec, stream: calls.append(spec) or generator(spec, stream))
+        N, n = 500_000, 60
+        got = sample_networks(N, n, 11, np.arange(300))
+        assert calls == [SeedSpec(11, n, 213)]
+        for r in range(300):
+            want = sparse_sample_indices(generator(SeedSpec(11, n, r), STREAM_NETWORK), N, n)
+            assert got[r].tolist() == want.tolist(), r
+
+    @pytest.mark.parametrize("N", [2**31 + 1, 2**32 - 1, 2**32, 2**32 + 7])
+    def test_huge_catalogs_match_generator(self, N):
+        # near 2**32 about half the draws reject; from 2**32 every row takes
+        # Generator.integers, whose draws there are no longer 32-bit Lemire
+        got = sample_networks(N, 5, 3, np.arange(6))
+        for r in range(6):
+            want = sparse_sample_indices(SeedSpec(3, 5, r).generator(STREAM_NETWORK), N, 5)
+            assert got[r].tolist() == want.tolist()
+
+    def test_errors_match_sample_network(self):
+        with pytest.raises(EewsimError, match=r"^network size 5 exceeds catalog size 4$"):
+            sample_networks(4, 5, 0, np.arange(2))
+        with pytest.raises(EewsimError, match=r"^network size must be >= 1, got 0$"):
+            sample_networks(4, 0, 0, np.arange(2))

@@ -260,8 +260,17 @@ def inv_cdf_percentile(values, p) -> float:
 
 
 def linear_percentile_oracle(values, p) -> float:
-    """Reference for the linear-interpolation percentile (numpy's default)."""
-    return float(np.percentile(np.asarray(values, dtype=float), p))
+    """Linear-interpolation percentile on Python floats, kept as the oracle of ``percentile``.
+
+    With sorted v[0..m-1] and h = (m-1) * p / 100, returns
+    v[floor(h)] + (h - floor(h)) * (v[floor(h) + 1] - v[floor(h)]).
+    """
+    v = sorted(float(x) for x in values)
+    h = (len(v) - 1) * p / 100.0
+    i = math.floor(h)
+    if i >= len(v) - 1:
+        return v[-1]
+    return v[i] + (h - i) * (v[i + 1] - v[i])
 
 
 def runs_array(rows) -> np.recarray:

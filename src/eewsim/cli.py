@@ -34,6 +34,7 @@ from .geo import (
     exposure_histogram,
     format_ascii_grid,
     format_csv,
+    format_csv_columns,
     parse_ascii_grid,
     read_input,
 )
@@ -123,7 +124,8 @@ def cmd_synth(run: _Run) -> None:
         raise EewsimError("cmd synth needs a [catalog] synth_n in the config")
     # the CSV round trip is exact, so a later simulate takes this catalog as is
     cat = run.catalog
-    run.write("catalog.csv", format_csv("lat,lon", zip(cat.lats.tolist(), cat.lons.tolist())))
+    run.write("catalog.csv", format_csv_columns(
+        "lat,lon", [map(float.__repr__, cat.lats.tolist()), map(float.__repr__, cat.lons.tolist())]))
     run.say(f"built catalog.csv ({len(cat)} points)")
 
 

@@ -11,10 +11,12 @@ package consumes.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -23,6 +25,13 @@ from .errors import EewsimError, in_range
 EARTH_RADIUS_KM = 6371.0
 
 T = TypeVar("T")
+
+# threads that read blocks of input text: the calling thread and at most one
+# more, on the CPUs this process may run on
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+# characters per block of raster body text
+_GRID_BLOCK_CHARS = 2**18
 
 
 def normalize_lon(lon):
@@ -256,6 +265,15 @@ def format_csv(header: str, rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_csv_columns(header: str, columns: Sequence[Iterable[str]]) -> str:
+    """``format_csv`` text from columns of fields already written by its rule.
+
+    A float column is ``map(float.__repr__, a.tolist())``: one pass per
+    column, not one ``_csv_field`` call per value.
+    """
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
 def parse_ascii_grid(source: str | IO[str]) -> Grid:
     """Parse an ESRI ASCII grid.
 
@@ -263,17 +281,23 @@ def parse_ascii_grid(source: str | IO[str]) -> Grid:
     NODATA_value, case-insensitive) must each appear exactly once, followed
     by nrows * ncols whitespace-separated numbers with row 1 of the body
     being the northernmost row.
+
+    The header lines are read one at a time from the head of the text. A
+    body of nrows lines, each of ncols plain decimals split by single
+    spaces, is read in blocks of whole lines by :func:`_read_decimal_rows`
+    (:func:`_read_grid_body`). Any other body is split into lines for
+    numpy's C reader and, where that fails, into tokens for ``float``.
     """
-    lines = physical_lines(_as_text(source))
+    text = fold_newlines(_as_text(source))
     header: dict[str, float] = {}
-    body_start = 0
-    for i, line in enumerate(lines):
+    body_at = 0
+    for i, (at, line) in enumerate(_lines_from(text)):
         parts = line.split()
         if not parts:
             continue
         key = parts[0].lower()
         if key not in _HEADER_KEYS:
-            body_start = i
+            body_at = at
             break
         if len(parts) != 2:
             raise EewsimError(f"header line {i + 1}: expected 'key value', got {line!r}")
@@ -283,7 +307,7 @@ def parse_ascii_grid(source: str | IO[str]) -> Grid:
             header[key] = float(parts[1])
         except ValueError:
             raise EewsimError(f"header {parts[0]!r}: cannot parse {parts[1]!r}") from None
-        body_start = i + 1
+        body_at = at + len(line) + 1
 
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
@@ -293,9 +317,12 @@ def parse_ascii_grid(source: str | IO[str]) -> Grid:
             raise EewsimError(f"header {key} must be an integer, got {header[key]}")
 
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    values = read_float_rows(lines[body_start:])
-    # where numpy's reader fails (ragged rows, a number only float takes), split into tokens
-    values = "\n".join(lines[body_start:]).split() if values is None else values.ravel()
+    values = _read_grid_body(text, body_at, nrows, ncols)
+    if values is None:
+        body = text[body_at:]
+        values = read_float_rows(body.split("\n"))
+        # where numpy's reader fails (ragged rows, a number only float takes), split into tokens
+        values = body.split() if values is None else values.ravel()
     if len(values) != nrows * ncols:
         raise EewsimError(
             f"expected {nrows * ncols} values for a {nrows}x{ncols} grid, got {len(values)}"
@@ -316,6 +343,94 @@ def parse_ascii_grid(source: str | IO[str]) -> Grid:
     )
 
 
+def _lines_from(text: str) -> Iterator[tuple[int, str]]:
+    """Each line of ``text``, as ``text.split("\\n")`` gives them, with its offset; one at a time."""
+    at = 0
+    while at <= len(text):
+        end = text.find("\n", at)
+        end = len(text) if end < 0 else end
+        yield at, text[at:end]
+        at = end + 1
+
+
+def _read_grid_body(text: str, at: int, nrows: int, ncols: int) -> np.ndarray | None:
+    """The nrows * ncols values of the raster body at offset ``at`` of ``text``, row by row.
+
+    The body is cut into blocks of whole lines of about
+    ``_GRID_BLOCK_CHARS`` characters, each read by :func:`_read_decimal_rows`
+    with ``ncols`` space-separated fields a line (:func:`map_blocks`). A
+    rest shorter than half a block joins the last block, so a body of up
+    to 1.5 blocks is one block on one thread, and a last line without its
+    ``\\n`` gets one. Returns None where any block declines or the blocks
+    do not hold nrows rows in all.
+    """
+    def blocks() -> Iterator[tuple[str, int, str]]:
+        start = at
+        while start < len(text):
+            end = text.find("\n", start + _GRID_BLOCK_CHARS) + 1 or len(text)
+            if len(text) - end < _GRID_BLOCK_CHARS // 2:  # a short rest joins this block
+                end = len(text)
+            block = text[start:end]
+            yield block if block.endswith("\n") else block + "\n", ncols, " "
+            start = end
+
+    rows = map_blocks(_read_decimal_rows, blocks())
+    if not rows or any(r is None for r in rows) or sum(map(len, rows)) != nrows:
+        return None
+    return np.concatenate(rows).ravel()
+
+
+def map_blocks(read: Callable[..., T], blocks: Iterable[tuple]) -> list[T]:
+    """``[read(*block) for block in blocks]``, run on the calling thread and ``_WORKERS - 1`` more.
+
+    The calling thread takes the first block and then starts the others;
+    a thread takes the next block when it is free, so at most one block a
+    thread is in flight, and the results are returned in block order. Once
+    a block fails, no thread takes another, and the error of the first
+    block that failed is raised, as the loop would raise it; an error in
+    ``blocks`` itself counts as one of the block it was to give. Every
+    thread is joined before this returns or raises.
+    """
+    blocks = iter(blocks)
+    lock = threading.Lock()
+    results: dict[int, T] = {}
+    errors: list[tuple[int, BaseException]] = []
+    threads: list[threading.Thread] = []
+    taken = 0
+
+    def work():
+        nonlocal taken
+        while not errors:
+            try:
+                with lock:
+                    i, taken = taken, taken + 1
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                if i == 0:  # only the calling thread takes block 0: one block starts no thread
+                    for _ in range(_WORKERS - 1):
+                        t = threading.Thread(target=work)
+                        t.start()
+                        threads.append(t)
+                results[i] = read(*block)
+            except BaseException as e:
+                errors.append((i, e))
+
+    try:
+        work()
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return [results[i] for i in range(len(results))]
+
+
+# one thread at a time in read_float_rows: warnings.catch_warnings swaps
+# process-wide state
+_LOADTXT_LOCK = threading.Lock()
+
+
 def read_float_rows(lines: Iterable[str], delimiter: str | None = None) -> np.ndarray | None:
     """Lines parsed by numpy's C reader as a 2-D float64 array, or None if it fails.
 
@@ -323,12 +438,112 @@ def read_float_rows(lines: Iterable[str], delimiter: str | None = None) -> np.nd
     on any field but an ASCII number, some of which ``float`` takes (``1_0``,
     full-width digits): a caller re-parses a failed text with ``float``.
     """
-    with warnings.catch_warnings():  # no data lines is no error: the array is empty
+    with _LOADTXT_LOCK, warnings.catch_warnings():  # no data lines is no error: the array is empty
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
         except ValueError:
             return None
+
+
+def _wide_float(dtype) -> tuple[type, int, np.ndarray]:
+    """The decimal reader's constants for a float type of P significand bits.
+
+    Returns the type; the bound on mantissas, 2**min(P, 64) - 1, below
+    which a uint64 mantissa is exact in it and not saturated; and the
+    powers 10**0 .. 10**K for the largest K with 5**K < 2**P, each exact
+    in it, as products of exact factors.
+    """
+    bits = np.finfo(dtype).nmant + 1
+    k_max = max(k for k in range(bits) if 5**k < 2**bits)
+    return dtype, 2 ** min(bits, 64) - 1, np.cumprod(np.r_[1, [10] * k_max].astype(dtype))
+
+
+# x87 extended precision (P = 64) on x86-64 Linux; a plain double elsewhere
+_WIDE = _wide_float(np.longdouble)
+# x87's 80 bits stored in 16 bytes: the low 8 are the significand, integer bit included
+_X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+
+
+def _read_decimal_rows(text: str, ncols: int, sep: str) -> np.ndarray | None:
+    """Rows of plain decimals as an (m, ncols) float64 array, or None for any other text.
+
+    Every line of ``text`` must end in ``\\n`` and hold ``ncols`` ASCII
+    fields ``-?d*.?d*`` with at least one digit, split by the one character
+    ``sep`` (``,`` or a space): no blank line, other whitespace, repeated
+    or trailing ``sep``, ``+`` or exponent. Each value has the bits
+    ``float`` gives its field. A field with digits m and k of them after
+    the point is m / 10**k, one division in the wide type, where m and
+    10**k are exact (Clinger's fast path widened to its significand),
+    then rounded to float64. That double rounding is one correct rounding
+    unless the quotient q falls on the midpoint of two doubles; such
+    fields, and those where m or k is too large to be exact, are read with
+    ``float``. On x87, q is a midpoint where the 11 significand bits that
+    rounding to float64 drops are 10000000000 (q, 0 or at least 10**-27
+    and below 2**64, is a normal double); with any other wide type, where
+    2q - x is a double. The sign is applied last, so ``-0`` gives -0.0.
+    """
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    b = np.frombuffer(raw, np.uint8)
+    if not b.size or b[-1] != 10 or (b > 57).any():
+        return None
+    # the bytes below '0' in order: the separators (sep and '\n'), then
+    # '-', '.' and the others, which decline the block
+    at = np.flatnonzero(b < 48)
+    kind = b[at]
+    at_sep = np.flatnonzero(kind < 45)
+    nf = at_sep.size
+    if nf % ncols or not (kind[at_sep].reshape(-1, ncols) == [ord(sep)] * (ncols - 1) + [10]).all():
+        return None
+    ends = at[at_sep]
+    # a field's '.' must be its last byte below '0', so the counts below
+    # catch a second '.' or a '-' after it; for the first field, index -1
+    # reads the final '\n'
+    at_sep -= 1
+    dotted = kind[at_sep] == 46
+    k = at[at_sep]  # digits after the point: the '.' to the field's end
+    np.subtract(ends, k, out=k)
+    k -= 1
+    k[~dotted] = 0
+    neg = np.empty(nf, bool)  # each field's first byte is '-'
+    neg[0] = b[0] == 45
+    neg[1:] = b[ends[:-1] + 1] == 45
+    if (np.count_nonzero(kind == 45) != np.count_nonzero(neg)
+            or np.count_nonzero(kind == 46) != np.count_nonzero(dotted)
+            or np.count_nonzero(kind == 47)):
+        return None
+    # each array is dropped once read: a block's arrays are a reader thread's
+    # working memory, which stays with the process after the thread ends
+    del at, kind, at_sep, dotted
+    digits = raw.translate(bytes.maketrans(b"\n" + sep.encode(), b",,"), b"-.")
+    try:  # a field without a digit is left empty, which np.fromstring rejects
+        m = np.fromstring(digits, np.uint64, sep=",")
+    except ValueError:
+        return None
+    del digits
+    if m.size != nf:
+        return None
+
+    wide, m_limit, pow10 = _WIDE
+    slow = (k >= pow10.size) | (m >= m_limit)
+    q = pow10.take(k, mode="clip")
+    del k
+    np.divide(m, q, out=q)
+    del m
+    x = q.astype(np.float64)
+    if wide is np.longdouble and _X87:
+        slow |= (q.view(np.uint64)[::2] & 0x7FF) == 0x400
+    else:
+        y = 2 * q - x  # exact, and a double, where q is the midpoint between x and y
+        slow |= (q != x) & (y == y.astype(np.float64))
+    del q
+    for i in np.flatnonzero(slow).tolist():
+        x[i] = float(raw[(ends[i - 1] + 1 if i else 0) + neg[i]:ends[i]])
+    np.negative(x, out=x, where=neg)
+    return x.reshape(-1, ncols)
 
 
 def _is_number(token: str) -> bool:

@@ -19,7 +19,9 @@ from .detection import (
     DetectorParams, PhoneParams, detect, detect_rows, detection_metrics, simulate_triggers, trigger_times,
 )
 from .errors import EewsimError, in_range
-from .geo import GeoPoint, Grid, cell_center, format_csv, haversine_km_from, normalize_lon, physical_lines
+from .geo import (
+    GeoPoint, Grid, cell_center, format_csv, format_csv_columns, haversine_km_from, normalize_lon, physical_lines,
+)
 from .network import Catalog, SeedSpec, check_network_size, sample_network, sample_networks
 from .scenario import Earthquake, VelocityModel, p_arrivals_s
 
@@ -271,10 +273,19 @@ def detection_density(
 # --- CSV emission --------------------------------------------------------------
 
 def write_runs_csv(runs: np.recarray) -> str:
-    """One row per replica; an undetected row leaves its four metric fields empty."""
-    columns = (runs[name].tolist() for name in RUNS_DTYPE.names)
-    rows = (row if row[2] else (*row[:3], None, None, None, None) for row in zip(*columns))
-    return format_csv(RUNS_HEADER, rows)
+    """One row per replica; an undetected row leaves its four metric fields empty.
+
+    The text is ``format_csv``'s, written a column at a time.
+    """
+    detected = runs.detected.tolist()
+    metrics = [
+        [field if d else "" for field, d in zip(map(float.__repr__, runs[name].tolist()), detected)]
+        for name in RUNS_DTYPE.names[3:]
+    ]
+    return format_csv_columns(RUNS_HEADER, [
+        map(str, runs.n.tolist()), map(str, runs.replica.tolist()),
+        ["true" if d else "false" for d in detected], *metrics,
+    ])
 
 
 def read_runs_csv(stream: IO[str] | str) -> np.recarray:

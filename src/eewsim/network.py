@@ -28,7 +28,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import EewsimError, in_range
-from .geo import Grid, fold_newlines, normalize_lon, read_float_rows
+from .geo import Grid, _read_decimal_rows, fold_newlines, map_blocks, normalize_lon, read_float_rows
 
 # substream tags; never reuse a value for a new purpose
 STREAM_NETWORK = 1
@@ -213,11 +213,13 @@ def load_catalog(source: str | IO[str], origin: str = "catalog") -> Catalog:
 
     ``source`` is a ``str`` or a text stream. Its text is streamed in
     blocks of whole lines (:func:`_body_blocks`), which also give the
-    header: the first non-blank line. A block of plain decimals is read by
-    :func:`_read_decimal_rows`. Numpy's C reader parses any other block
-    once, on its non-blank lines, and where it fails, ``float`` parses the
-    block line by line; so working memory is one block plus the output
-    arrays. Blank lines are skipped, and an error names its 1-based line.
+    header: the first non-blank line. The blocks are parsed on up to two
+    threads (:func:`geo.map_blocks`), with the same result on one. A block
+    of plain decimals is read by :func:`geo._read_decimal_rows`. Numpy's C
+    reader parses any other block once, on its non-blank lines, and where
+    it fails, ``float`` parses the block line by line; so working memory is
+    a block a thread plus the output arrays. Blank lines are skipped, and
+    an error names its 1-based line.
     """
     blocks = _body_blocks(io.StringIO(source) if isinstance(source, str) else source)
     header_no = 1
@@ -233,12 +235,13 @@ def load_catalog(source: str | IO[str], origin: str = "catalog") -> Catalog:
     if [c.strip().lower() for c in header.split(",")] != ["lat", "lon"]:
         raise EewsimError(f"{origin} line {header_no}: expected header 'lat,lon', got {header!r}")
 
-    chunks = []
-    first_lineno = header_no + 1
-    for text in chain([body] if body else [], blocks):
-        vals, nlines = _parse_chunk(text, first_lineno, origin)
-        chunks.append(vals)
-        first_lineno += nlines
+    def numbered() -> Iterator[tuple[str, int, str]]:
+        first_lineno = header_no + 1
+        for text in chain([body] if body else [], blocks):
+            yield text, first_lineno, origin
+            first_lineno += text.count("\n")
+
+    chunks = map_blocks(_parse_chunk, numbered())
     vals = np.concatenate(chunks) if chunks else np.empty((0, 2))
     if not vals.size:
         raise EewsimError(f"{origin}: no data rows")
@@ -270,18 +273,18 @@ def _in_domain(vals: np.ndarray) -> bool:
     return bool(np.isfinite(vals).all() and (np.abs(vals[:, 0]) <= 90.0).all())
 
 
-def _parse_chunk(text: str, first_lineno: int, origin: str) -> tuple[np.ndarray, int]:
+def _parse_chunk(text: str, first_lineno: int, origin: str) -> np.ndarray:
     """Parse a block of body lines, each ended by ``\\n``, into an (m, 2) array
-    of lat, lon rows; also count its lines."""
-    vals = _read_decimal_rows(text, 2)
+    of lat, lon rows; an error names the line, counted from ``first_lineno``."""
+    vals = _read_decimal_rows(text, 2, ",")
     if vals is not None and _in_domain(vals):
-        return vals, len(vals)
+        return vals
     lines = text.split("\n")[:-1]
     # numpy's reader rejects whitespace-only lines
     vals = read_float_rows([ln for ln in lines if ln.strip()], delimiter=",")
     if vals is None or vals.shape[1] != 2 or not _in_domain(vals):
         vals = _parse_lines(lines, first_lineno, origin)
-    return vals, len(lines)
+    return vals
 
 
 def _parse_lines(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray:
@@ -300,88 +303,6 @@ def _parse_lines(chunk: list[str], first_lineno: int, origin: str) -> np.ndarray
         rows.append((in_range(f"{origin} line {lineno}: latitude", lat, -90, 90),
                      in_range(f"{origin} line {lineno}: longitude", lon)))
     return np.array(rows, dtype=np.float64).reshape(-1, 2)
-
-
-def _wide_float(dtype) -> tuple[type, int, np.ndarray]:
-    """The decimal reader's constants for a float type of P significand bits.
-
-    Returns the type; the bound on mantissas, 2**min(P, 64) - 1, below
-    which a uint64 mantissa is exact in it and not saturated; and the
-    powers 10**0 .. 10**K for the largest K with 5**K < 2**P, each exact
-    in it, as products of exact factors.
-    """
-    bits = np.finfo(dtype).nmant + 1
-    k_max = max(k for k in range(bits) if 5**k < 2**bits)
-    return dtype, 2 ** min(bits, 64) - 1, np.cumprod(np.r_[1, [10] * k_max].astype(dtype))
-
-
-# x87 extended precision (P = 64) on x86-64 Linux; a plain double elsewhere
-_WIDE = _wide_float(np.longdouble)
-_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
-
-
-def _read_decimal_rows(text: str, ncols: int) -> np.ndarray | None:
-    """Rows of plain decimals as an (m, ncols) float64 array, or None for any other text.
-
-    Every line of ``text`` must end in ``\\n`` and hold ``ncols``
-    comma-separated ASCII fields ``-?d*.?d*`` with at least one digit: no
-    blank line, space, ``\\r``, ``+`` or exponent. Each value has the bits
-    ``float`` gives its field. A field with digits m and k of them after
-    the point is m / 10**k, one division in the wide type, where m and
-    10**k are exact (Clinger's fast path widened to its significand),
-    then rounded to float64. That double rounding is one correct rounding
-    unless the quotient q falls on the midpoint of two doubles, where
-    2q - x is a double; such fields, and those where m or k is too large
-    to be exact, are read with ``float``. The sign is applied last, so
-    ``-0`` gives -0.0.
-    """
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    b = np.frombuffer(raw, np.uint8)
-    if not b.size or b[-1] != 10 or (b > 57).any() or (b == 47).any():
-        return None
-    # the bytes below '/' in order: the separators ',' and '\n', then '-',
-    # '.' and the bytes below ',' that decline the block
-    at = np.flatnonzero(b < 47)
-    kind = b[at]
-    at_sep = np.flatnonzero(kind < 45)
-    sep = at[at_sep]
-    nf = sep.size
-    if nf % ncols or not (kind[at_sep].reshape(-1, ncols) == [44] * (ncols - 1) + [10]).all():
-        return None
-    starts = np.empty_like(sep)
-    starts[0] = 0
-    starts[1:] = sep[:-1] + 1
-    neg = b[starts] == 45
-    # a field's '.' must be its last byte below '/', so the counts below
-    # catch a second '.' or a '-' after it; for the first field, index -1
-    # reads the final '\n'
-    dotted = kind[at_sep - 1] == 46
-    dot = at[at_sep - 1][dotted]
-    if (np.count_nonzero(kind == 45) != np.count_nonzero(neg)
-            or np.count_nonzero(kind == 46) != np.count_nonzero(dotted)):
-        return None
-    try:  # a field without a digit is left empty, which np.fromstring rejects
-        m = np.fromstring(raw.translate(_NEWLINE_TO_COMMA, b"-."), np.uint64, sep=",")
-    except ValueError:
-        return None
-    if m.size != nf:
-        return None
-
-    wide, m_limit, pow10 = _WIDE
-    k = np.zeros(nf, np.intp)
-    k[dotted] = sep[dotted] - dot - 1
-    slow = (k >= pow10.size) | (m >= m_limit)
-    q = m.astype(wide) / pow10[np.minimum(k, pow10.size - 1)]
-    x = q.astype(np.float64)
-    y = 2 * q - x  # exact, and a double, where q is the midpoint between x and y
-    slow |= (q != x) & (y == y.astype(np.float64))
-    for i in np.flatnonzero(slow).tolist():
-        x[i] = float(raw[starts[i] + neg[i]:sep[i]])
-    x = np.where(neg, -x, x)
-    return x.reshape(-1, ncols)
 
 
 # --- catalog synthesis and network sampling ----------------------------------

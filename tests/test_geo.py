@@ -1,11 +1,15 @@
 import csv
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from eewsim import geo
 from eewsim.errors import EewsimError
 from eewsim.geo import (
     EARTH_RADIUS_KM,
@@ -20,8 +24,10 @@ from eewsim.geo import (
     exposure_histogram,
     format_ascii_grid,
     format_csv,
+    format_csv_columns,
     haversine_km,
     haversine_km_points,
+    map_blocks,
     normalize_lon,
     parse_ascii_grid,
     read_float_rows,
@@ -29,8 +35,10 @@ from eewsim.geo import (
 )
 from testutil import (
     LINE_BREAKS_NOT_NEWLINES,
+    cut_significant,
     format_ascii_grid_oracle,
     make_grid,
+    midpoint_text,
     normalize_lon_scalar,
     parse_ascii_grid_oracle,
     sample_at,
@@ -269,6 +277,258 @@ class TestAsciiGrid:
         assert outcome(parse_ascii_grid) == outcome(parse_ascii_grid_oracle)
 
 
+def _grid_text(ncols: int, nrows: int, body: str) -> str:
+    return (f"ncols {ncols}\nnrows {nrows}\nxllcorner 0.0\nyllcorner 0.0\ncellsize 1.0\n"
+            f"NODATA_value -9999\n{body}")
+
+
+def _grid_outcome(parse, text: str):
+    """A parse's grid shape and value bytes, or its error type and message."""
+    try:
+        g = parse(text)
+    except EewsimError as e:
+        return type(e), str(e)
+    return g.values.shape, g.values.tobytes()
+
+
+def _parse_in_blocks(text: str, block_chars: int, workers: int = geo._WORKERS):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geo, "_GRID_BLOCK_CHARS", block_chars)
+        mp.setattr(geo, "_WORKERS", workers)
+        return _grid_outcome(parse_ascii_grid, text)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# doubles in [1e-3, 1e15] drawn by their bits, so most have all 53 of them
+_SPREAD = st.integers(*np.array([1e-3, 1e15]).view(np.int64).tolist()).map(
+    lambda bits: float(np.int64(bits).view(np.float64)))
+# raster fields: as repr, %.17g and %.20f write a double; signed zeros,
+# nodata and integers without a '.'; fields of 20 digits and more; and
+# decimals at or next to the midpoint of two doubles, where rounding the
+# decimal reader's wide quotient again to float64 can miss
+_RASTER_FIELD = st.one_of(
+    _FINITE.map(repr),
+    _FINITE.map(lambda x: "%.17g" % x),
+    st.floats(-1e9, 1e9).map(lambda x: "%.20f" % x),
+    st.sampled_from(["-0", "-0.0", "0", "0.0", "-9999", "-9999.0", "7", "-12", "007"]),
+    st.integers(-(10**30), 10**30).map(str),
+    st.text("0123456789", min_size=20, max_size=30).map(lambda d: f"{d[:8]}.{d[8:]}"),
+    st.floats(2.0**53, 1e25).map(midpoint_text),
+    st.tuples(_SPREAD.map(midpoint_text), st.integers(17, 20)).map(lambda ms: cut_significant(*ms)),
+)
+
+
+class TestGridBodyReader:
+    """``parse_ascii_grid`` reads plain bodies with the decimal reader, in blocks on threads."""
+
+    @given(st.integers(1, 4).flatmap(lambda ncols: st.lists(
+        st.lists(_RASTER_FIELD, min_size=ncols, max_size=ncols), min_size=1, max_size=5)),
+        st.sampled_from([1, 2**18]), st.sampled_from([1, 2]))
+    @example([["18.47485606619456", "-72.1862122923906"], ["-0", "-9999"]], 1, 2)
+    def test_matches_split_oracle(self, rows, block_chars, workers):
+        # a block of 1 character is cut after its first line: one line a block
+        text = _grid_text(len(rows[0]), len(rows), "".join(" ".join(r) + "\n" for r in rows))
+        assert _parse_in_blocks(text, block_chars, workers) == _grid_outcome(parse_ascii_grid_oracle, text)
+
+    @given(st.integers(1, 5).flatmap(
+        lambda ncols: st.lists(st.lists(_CELL, min_size=ncols, max_size=ncols), min_size=1, max_size=4)
+    ), st.sampled_from([1, 2**18]))
+    def test_written_grids_match_split_oracle(self, rows, block_chars):
+        text = format_ascii_grid(make_grid(rows))
+        assert _parse_in_blocks(text, block_chars) == _grid_outcome(parse_ascii_grid_oracle, text)
+
+    @pytest.mark.parametrize("block_chars", [1, 8, 2**18])
+    @pytest.mark.parametrize("body", [
+        "1 2 3\n4 5\n",  # one value too few
+        "1 2 3\n4 5 6\n7 8 9\n",  # one row too many
+        "1 2 3\n4 x 6\n",
+        "1 2 3\n4 5 6 7\n",
+        "1 2\n3 4 5 6\n",  # ragged rows, the right count
+        "1 2 3 \n4 5 6 \n",  # trailing spaces
+        "1  2 3\n4 5 6\n",  # a repeated space
+        " 1 2 3\n4 5 6\n",  # a leading space
+        "1\t2 3\n4 5 6\n",
+        "1 2 3\r\n4 5 6\r\n",
+        "1 2 3\r4 5 6\r",
+        "1 2 3\n4 5 6",  # no final line end
+        "1 2 3\n4 5 6\n\n\n",
+        "\n1 2 3\n\n4 5 6\n",
+        "+1 2 3\n4 5 6\n",
+        "1e2 2 3\n4 5 6\n",
+        "1 2 3\n4 5 6E-1\n",
+        "1 2 3\n4 5 -\n",
+        "1 2 3\n4 5 .\n",
+        "1 2 3\n4 5 1.2.3\n",
+        "1 2 3\n4 5 1-2\n",
+        "1 2 3\n4 5 1/2\n",
+        "1,2,3\n4,5,6\n",
+        "1 2 3\n4 5 \uff16\n",
+        "1 2 3\n4 5 inf\n",
+        "",
+        "\n",
+    ])
+    def test_declined_bodies_match_split_oracle(self, body, block_chars):
+        text = _grid_text(3, 2, body)
+        assert _parse_in_blocks(text, block_chars) == _grid_outcome(parse_ascii_grid_oracle, text)
+
+    def test_plain_grid_stays_on_the_decimal_reader(self, monkeypatch):
+        def fallback(*args, **kwargs):
+            raise AssertionError("body parsed by a fallback")
+
+        monkeypatch.setattr(geo, "read_float_rows", fallback)
+        monkeypatch.setattr(geo, "_GRID_BLOCK_CHARS", 64)
+        rng = np.random.default_rng(27)
+        vals = rng.uniform(-1e3, 1e3, size=(40, 7))
+        vals[rng.random(vals.shape) < 0.2] = -9999.0
+        vals[0, :3] = [0.0, -0.0, 5.0]
+        g = make_grid(vals)
+        text = format_ascii_grid(g)
+        assert parse_ascii_grid(text).values.tobytes() == g.values.tobytes()
+        assert parse_ascii_grid(text.rstrip("\n")).values.tobytes() == g.values.tobytes()
+
+    @pytest.mark.parametrize("rows, blocks", [(10, 1), (14, 1), (15, 2), (20, 2), (28, 3)])
+    def test_a_short_rest_joins_the_last_block(self, monkeypatch, rows, blocks):
+        # ten 11-character lines a block: a rest under five lines joins the last block
+        read = geo._read_decimal_rows
+        sizes = []
+
+        def counting(text, ncols, sep):
+            sizes.append(text.count("\n"))
+            return read(text, ncols, sep)
+
+        monkeypatch.setattr(geo, "_read_decimal_rows", counting)
+        monkeypatch.setattr(geo, "_GRID_BLOCK_CHARS", 109)
+        g = parse_ascii_grid(_grid_text(3, rows, "1.5 -2 3.0\n" * rows))
+        assert g.values.shape == (rows, 3)
+        assert sorted(sizes) == sorted([10] * (blocks - 1) + [rows - 10 * (blocks - 1)])
+
+    @pytest.mark.parametrize("block_chars", [16, 2**18])
+    def test_thread_count_does_not_change_the_bytes(self, block_chars):
+        rng = np.random.default_rng(5)
+        g = make_grid(rng.uniform(-1e6, 1e6, size=(60, 9)))
+        text = format_ascii_grid(g)
+        one, two = (_parse_in_blocks(text, block_chars, workers) for workers in (1, 2))
+        assert one == two == (g.values.shape, g.values.tobytes())
+
+    def test_error_in_a_block_reaches_the_caller(self, monkeypatch):
+        # one line a block: the reader raises on the fourth block, body row 3
+        read = geo._read_decimal_rows
+
+        def failing(text, ncols, sep):
+            if text.startswith("3 "):
+                raise KeyError("block 3")
+            return read(text, ncols, sep)
+
+        monkeypatch.setattr(geo, "_read_decimal_rows", failing)
+        monkeypatch.setattr(geo, "_GRID_BLOCK_CHARS", 1)
+        text = _grid_text(2, 6, "".join(f"{r} {r}.5\n" for r in range(6)))
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="block 3"):
+            parse_ascii_grid(text)
+        assert threading.active_count() == before
+
+
+class TestMapBlocks:
+    def test_worker_count_is_one_or_two(self):
+        assert 1 <= geo._WORKERS <= 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_in_block_order(self, monkeypatch, workers):
+        # blocks that finish out of order still come back in order
+        monkeypatch.setattr(geo, "_WORKERS", workers)
+
+        def read(i):
+            time.sleep(0.002 * (i % 3))
+            return i * i
+
+        assert map_blocks(read, ((i,) for i in range(20))) == [i * i for i in range(20)]
+        assert map_blocks(read, iter([])) == []
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(geo, "_WORKERS", 2)
+        before = threading.active_count()
+        seen = []
+
+        def read(i):
+            seen.append(threading.active_count())
+            time.sleep(0.005)
+            return i
+
+        assert map_blocks(read, [(0,)]) == [0]
+        assert seen == [before]
+        assert map_blocks(read, [(0,), (1,), (2,)]) == [0, 1, 2]
+        assert max(seen[1:]) == before + 1
+        assert threading.active_count() == before
+
+    def test_stress_every_block_read_once_in_order(self, monkeypatch):
+        # more threads than cores and a short switch interval: a lost update
+        # of the shared block counter would read a block twice or skip one
+        monkeypatch.setattr(geo, "_WORKERS", 8)
+        reads = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = map_blocks(lambda i: reads.append(i) or -i, ((i,) for i in range(3000)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [-i for i in range(3000)]
+        assert sorted(reads) == list(range(3000))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("failing", [{3}, {3, 5}, {0, 3}])
+    def test_first_failing_block_raises_in_the_caller(self, monkeypatch, workers, failing):
+        monkeypatch.setattr(geo, "_WORKERS", workers)
+
+        def read(i):
+            time.sleep(0.002 * (i % 2))
+            if i in failing:
+                raise ValueError(f"block {i}")
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"^block {min(failing)}$"):
+            map_blocks(read, ((i,) for i in range(10)))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_in_the_blocks_counts_at_its_place(self, monkeypatch, workers):
+        monkeypatch.setattr(geo, "_WORKERS", workers)
+
+        def blocks():
+            yield from ((i,) for i in range(4))
+            raise OSError("read failed")
+
+        with pytest.raises(OSError, match="read failed"):
+            map_blocks(lambda i: i, blocks())
+        with pytest.raises(ValueError, match="block 2"):  # an earlier block's error comes first
+            map_blocks(lambda i: i if i != 2 else int("block 2"), blocks())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_in_flight_bounded(self, monkeypatch, workers):
+        # a block is in flight from when it is made until its read returns
+        monkeypatch.setattr(geo, "_WORKERS", workers)
+        lock = threading.Lock()
+        live, most = 0, 0
+
+        def blocks():
+            nonlocal live, most
+            for i in range(30):
+                with lock:
+                    live += 1
+                    most = max(most, live)
+                yield (i,)
+
+        def read(i):
+            nonlocal live
+            time.sleep(0.001)
+            with lock:
+                live -= 1
+            return i
+
+        assert map_blocks(read, blocks()) == list(range(30))
+        assert most <= workers + 1
+
+
 class TestReadFloatRows:
     def test_rows_parsed(self):
         got = read_float_rows(["1.5,-2\n", "\n", " 3 , 4e1"], delimiter=",")
@@ -478,6 +738,13 @@ class TestFormatCsv:
 
     def test_no_rows(self):
         assert format_csv("lat,lon", []) == "lat,lon\n"
+
+    @given(st.lists(st.tuples(_FINITE, _FINITE), max_size=8))
+    @example([(-0.0, 1e-05), (5e-324, -5e-324), (0.0, 1e16)])
+    def test_columns_match_rows(self, rows):
+        cols = np.array(rows, dtype=np.float64).reshape(-1, 2).T
+        text = format_csv_columns("lat,lon", [map(float.__repr__, c.tolist()) for c in cols])
+        assert text == format_csv("lat,lon", rows)
 
 
 class TestExposure:

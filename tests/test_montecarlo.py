@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from eewsim import montecarlo
 from eewsim.detection import DetectorParams, PhoneParams
 from eewsim.errors import EewsimError
-from eewsim.geo import GeoPoint, cell_center, haversine_km, haversine_km_from
+from eewsim.geo import GeoPoint, cell_center, format_csv, haversine_km, haversine_km_from
 from eewsim.montecarlo import (
     DensityGrid,
+    RUNS_DTYPE,
     RUNS_HEADER,
     McSummary,
     detection_density,
@@ -440,6 +441,19 @@ class TestCsvRoundTrip:
         assert_runs_equal(back, runs)
         assert not back.flags.writeable
         assert write_runs_csv(back) == text
+
+    def test_runs_csv_is_format_csv_by_rows(self):
+        # the column writer gives the text of format_csv's rule, row by row
+        runs = runs_array([
+            (300, 0, (-0.0, 1e-05, 5e-324, -72.5)),
+            (300, 1, None),
+            (2**62, 2**63 - 1, (1e16, 0.1, -90.0, -180.0)),
+            (5, 2, None),
+        ])
+        rows = [(n, r, d, *(m if d else (None,) * 4))
+                for n, r, d, *m in zip(*(runs[name].tolist() for name in RUNS_DTYPE.names))]
+        assert write_runs_csv(runs) == format_csv(RUNS_HEADER, rows)
+        assert "300,0,true,-0.0,1e-05,5e-324,-72.5\n300,1,false,,,,\n" in write_runs_csv(runs)
 
     def test_summary_csv_header_and_blanks(self):
         s = McSummary(n=5, replicas=3, detect_rate=0.0,

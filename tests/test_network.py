@@ -1,14 +1,13 @@
 import io
-import math
+import threading
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from eewsim import network
+from eewsim import geo, network
 from eewsim.errors import EewsimError
 from eewsim.geo import GeoPoint, format_csv
 from eewsim.network import (
@@ -26,9 +25,11 @@ from eewsim.network import (
 )
 from testutil import (
     catalog_point,
+    cut_significant,
     dense_sample_indices,
     load_catalog_oracle,
     make_grid,
+    midpoint_text,
     sparse_sample_indices,
 )
 
@@ -213,6 +214,42 @@ class TestLoadCatalogStreaming:
             assert got == _outcome(load_catalog_oracle, text)
             assert np.frombuffer(got[0]).size == 60
 
+    @pytest.mark.parametrize("bad", [None, "18.5,abc"])
+    def test_thread_count_does_not_change_the_outcome(self, monkeypatch, tmp_path, bad):
+        monkeypatch.setattr(network, "_BLOCK_CHARS", 256)
+        text = _messy_catalog(np.random.default_rng(9), 600)
+        if bad:  # the same error from the first bad block whichever thread reads it
+            text = text.replace("\n", f"\n{bad}\n", 40).replace(f"\n{bad}\n", "\n", 20)
+        got = []
+        for workers in (1, 2):
+            monkeypatch.setattr(geo, "_WORKERS", workers)
+            got.append(_outcomes(load_catalog, text, tmp_path / "cat.csv"))
+        assert got[0] == got[1] == [_outcome(load_catalog_oracle, text)] * 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_in_a_block_reaches_the_caller(self, monkeypatch, workers):
+        parse = network._parse_chunk
+        first_linenos = []
+        fail_at = None  # block 3's first line, once a clean read has shown it
+
+        def failing(text, first_lineno, origin):
+            first_linenos.append(first_lineno)
+            if first_lineno == fail_at:
+                raise KeyError("block 3")
+            return parse(text, first_lineno, origin)
+
+        monkeypatch.setattr(geo, "_WORKERS", workers)
+        monkeypatch.setattr(network, "_BLOCK_CHARS", 40)
+        monkeypatch.setattr(network, "_parse_chunk", failing)
+        text = "lat,lon\n" + "".join(f"1{k}.25,-7{k}.5\n" for k in range(10)) * 3
+        load_catalog(text)
+        assert len(first_linenos) > 5
+        fail_at = sorted(first_linenos)[3]
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="block 3"):
+            load_catalog(text)
+        assert threading.active_count() == before
+
     def test_memory_bounded_by_one_chunk(self, monkeypatch, tmp_path):
         # The output is 16 bytes a row. At the end the block arrays, their
         # concatenation and the Catalog's private lat/lon copies coexist:
@@ -240,25 +277,6 @@ class TestLoadCatalogStreaming:
             assert peak < bound, f"{end!r}: peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
-def _midpoint_text(x: float) -> str:
-    """The exact decimal expansion of the midpoint between |x| and the next double up."""
-    lo = abs(x)
-    mid = (Fraction(lo) + Fraction(math.nextafter(lo, math.inf))) / 2
-    e = mid.denominator.bit_length() - 1  # the denominator is 2**e
-    digits = str(mid.numerator * 5**e).rjust(e + 1, "0")
-    return f"{digits[:-e]}.{digits[-e:]}" if e else digits
-
-
-def _cut_significant(text: str, sig: int) -> str:
-    """``text`` up to its ``sig``-th significant digit; it must hold a '.' within them."""
-    seen = 0
-    for i, c in enumerate(text):
-        seen += c.isdigit() and (seen > 0 or c != "0")
-        if seen == sig:
-            return text[: i + 1]
-    return text
-
-
 # doubles in [1e-3, 1e15] drawn by their bits, so most have all 53 of them
 _SPREAD_FLOATS = st.integers(*np.array([1e-3, 1e15]).view(np.int64).tolist()).map(
     lambda bits: float(np.int64(bits).view(np.float64)))
@@ -274,11 +292,11 @@ _PLAIN_DECIMAL = st.tuples(
         st.tuples(st.text("0123456789", max_size=25), st.sampled_from(["", "."]),
                   st.text("0123456789", max_size=30)).map("".join),
         st.sampled_from([".5", "5.", "0.0", "0", "9007199254740993", "18.47485606619456"]),
-        st.floats(2.0**53, 1e25).map(_midpoint_text),
+        st.floats(2.0**53, 1e25).map(midpoint_text),
         # 19 or 20 significant digits: near enough to the midpoint that the
         # wide quotient often lands on it, few enough for a uint64 mantissa
-        st.tuples(_SPREAD_FLOATS.map(_midpoint_text), st.integers(19, 20)).map(
-            lambda mid_sig: _cut_significant(*mid_sig)),
+        st.tuples(_SPREAD_FLOATS.map(midpoint_text), st.integers(19, 20)).map(
+            lambda mid_sig: cut_significant(*mid_sig)),
     ),
 ).map("".join).filter(lambda f: any(c.isdigit() for c in f))
 
@@ -291,8 +309,8 @@ def _read_as(wide: str, text: str, ncols: int):
     """``_read_decimal_rows`` with the platform's long double, or with a plain double as the wide type."""
     with pytest.MonkeyPatch.context() as mp:
         if wide == "double":
-            mp.setattr(network, "_WIDE", network._wide_float(np.float64))
-        return network._read_decimal_rows(text, ncols)
+            mp.setattr(geo, "_WIDE", geo._wide_float(np.float64))
+        return geo._read_decimal_rows(text, ncols, ",")
 
 
 class TestReadDecimalRows:
@@ -313,17 +331,38 @@ class TestReadDecimalRows:
         # quotient once more to float64 misses one correct rounding on dozens
         rng = np.random.default_rng(3)
         bits = rng.integers(*np.array([1e-3, 1e15]).view(np.int64).tolist(), 3000)
-        fields = [_cut_significant(_midpoint_text(x), int(sig))
+        fields = [cut_significant(midpoint_text(x), int(sig))
                   for x, sig in zip(bits.view(np.float64).tolist(), rng.integers(17, 20, 3000))]
         got = _read_as(wide, _rows_text(fields, 1), 1)
         want = np.array([float(f) for f in fields])
         assert got.tobytes() == want.tobytes()
-        wide_type, _, pow10 = network._WIDE
+        wide_type, _, pow10 = geo._WIDE
         if wide == "long double" and np.finfo(wide_type).nmant == 63:
             m = np.array([int(f.replace(".", "")) for f in fields], dtype=np.uint64)
             k = np.array([len(f.partition(".")[2]) for f in fields])
             twice_rounded = (m.astype(wide_type) / pow10[k]).astype(np.float64)
             assert np.count_nonzero(twice_rounded != want) > 30
+
+    @pytest.mark.skipif(not geo._X87, reason="the bit test applies to x87 long doubles only")
+    def test_x87_bit_test_finds_the_midpoints_the_arithmetic_test_finds(self):
+        # 3,000 midpoint cuts and their exact midpoints, where both tests flag
+        # a quotient on the midpoint of two doubles
+        rng = np.random.default_rng(4)
+        bits = rng.integers(*np.array([1e-3, 1e15]).view(np.int64).tolist(), 3000)
+        fields = [cut_significant(midpoint_text(x), int(sig))
+                  for x, sig in zip(bits.view(np.float64).tolist(), rng.integers(17, 21, 3000))]
+        fields += [midpoint_text(x) for x in rng.uniform(2.0**53, 2.0**63, 300).tolist()]
+        wide, m_limit, pow10 = geo._WIDE
+        fields = [f for f in fields if int(f.replace(".", "")) < m_limit]
+        m = np.array([int(f.replace(".", "")) for f in fields], dtype=np.uint64)
+        k = np.array([len(f.partition(".")[2]) for f in fields])
+        q = m.astype(wide) / pow10[np.minimum(k, pow10.size - 1)]
+        x = q.astype(np.float64)
+        y = 2 * q - x
+        arithmetic = (q != x) & (y == y.astype(np.float64))
+        bit_test = (q.view(np.uint64)[::2] & 0x7FF) == 0x400
+        assert np.array_equal(bit_test, arithmetic)
+        assert np.count_nonzero(bit_test) > 30
 
     @pytest.mark.parametrize("wide", ["long double", "double"])
     @pytest.mark.parametrize("token", [
@@ -349,18 +388,18 @@ class TestReadDecimalRows:
         "1\n2,3\n", "1,2,3\n4\n",
     ])
     def test_declines_other_text(self, text):
-        assert network._read_decimal_rows(text, 2) is None
+        assert geo._read_decimal_rows(text, 2, ",") is None
 
     def test_wide_constants(self):
         # P significand bits; the largest K with 5**K < 2**P; 10**0..10**K exact
         for dtype in (np.float64, np.longdouble):
             bits = np.finfo(dtype).nmant + 1
-            wide, m_limit, pow10 = network._wide_float(dtype)
+            wide, m_limit, pow10 = geo._wide_float(dtype)
             assert wide is dtype and m_limit == 2 ** min(bits, 64) - 1
             assert 5 ** (pow10.size - 1) < 2**bits < 5**pow10.size
             assert [int(p) for p in pow10] == [10**k for k in range(pow10.size)]
-        assert network._wide_float(np.float64)[2].size == 23  # Clinger's 10**22
-        assert network._WIDE[0] is np.longdouble
+        assert geo._wide_float(np.float64)[2].size == 23  # Clinger's 10**22
+        assert geo._WIDE[0] is np.longdouble
 
     @pytest.mark.parametrize("source", ["str", "file", "crlf-file"])
     def test_clean_catalog_stays_on_the_decimal_reader(self, monkeypatch, tmp_path, source):

@@ -29,6 +29,25 @@ def make_grid(values, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0) -> Grid:
     )
 
 
+def midpoint_text(x: float) -> str:
+    """The exact decimal expansion of the midpoint between |x| and the next double up."""
+    lo = abs(x)
+    mid = (Fraction(lo) + Fraction(math.nextafter(lo, math.inf))) / 2
+    e = mid.denominator.bit_length() - 1  # the denominator is 2**e
+    digits = str(mid.numerator * 5**e).rjust(e + 1, "0")
+    return f"{digits[:-e]}.{digits[-e:]}" if e else digits
+
+
+def cut_significant(text: str, sig: int) -> str:
+    """``text`` up to its ``sig``-th significant digit; it must hold a '.' within them."""
+    seen = 0
+    for i, c in enumerate(text):
+        seen += c.isdigit() and (seen > 0 or c != "0")
+        if seen == sig:
+            return text[: i + 1]
+    return text
+
+
 def normalize_lon_scalar(lon: float) -> float:
     """The longitude wrap in Python float arithmetic, kept as the oracle of ``normalize_lon``."""
     if -180.0 <= lon < 180.0:

@@ -616,12 +616,14 @@ def cell_indices(grid: Grid, lats, lons) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def sample_values(grid: Grid, lats, lons) -> np.ndarray:
-    """Nearest-cell values at the given points; NaN marks nodata/outside."""
+    """Nearest-cell values at the given points; NaN marks nodata/outside.
+
+    ``lats`` and ``lons`` broadcast against each other, so a column of
+    latitudes and a row of longitudes sample a whole mesh.
+    """
     rows, cols, inside = cell_indices(grid, lats, lons)
-    out = np.full(rows.shape, np.nan)
-    vals = grid.values[rows[inside], cols[inside]]
-    out[inside] = np.where(vals == grid.nodata, np.nan, vals)
-    return out
+    vals = grid.values[rows, cols]  # an outside point reads cell (0, 0)
+    return np.where(inside & (vals != grid.nodata), vals, np.nan)
 
 
 # the last match_cells arguments and result
@@ -642,7 +644,7 @@ def match_cells(pop: Grid, mmi: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarra
     last_pop, last_mmi, result = _last_match
     if pop is not last_pop or mmi is not last_mmi:
         lat2, lon2 = pop.center_mesh()
-        mmi_at = sample_values(mmi, lat2, lon2)
+        mmi_at = sample_values(mmi, pop.lat_centers()[:, None], pop.lon_centers())
         result = (lat2, lon2, mmi_at, pop.mask & np.isfinite(mmi_at))
         for a in result:
             a.setflags(write=False)

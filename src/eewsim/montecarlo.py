@@ -227,18 +227,29 @@ def detection_density(
     over detections. ``einsum`` without ``optimize`` does the contraction
     without BLAS, whose result bytes depend on its thread count.
 
-    Every cell below float64 eps (2**-52) times the grid maximum is then
-    set to 0.0: such a cell is below the resolution of the peak, since
-    adding it to the peak cell leaves the peak unchanged. Each flushed cell
-    moves by less than eps of the maximum, and the maximum cell, hence the
-    mode, is kept. It also spares the grid writer, ``format_ascii_grid``,
-    the long repr of the Gaussian tail, whose values reach down to 1e-308:
-    the writer puts a literal ``0.0`` for each flushed cell.
+    Each factor row keeps only its entries at or above eps/m times the
+    row's maximum (eps = 2**-52); the rest are set to 0.0. A product with a
+    cut-off factor is then below eps/m of its kernel's peak on the grid,
+    which is at most the grid maximum, so a cell loses less than eps times
+    the grid maximum over all m kernels. The contraction runs only on the
+    box of the rows and columns where some factor is still non-zero, and
+    every cell outside it is 0.0: the box is the same, bit for bit, as that
+    part of the full-grid contraction of the cut-off factors, and it spares
+    the Gaussian tails, whose subnormal products are slow.
+
+    Every cell below float64 eps times the grid maximum is then set to
+    0.0: such a cell is below the resolution of the peak, since adding it
+    to the peak cell leaves the peak unchanged. Each flushed cell moves by
+    less than eps of the maximum, and the maximum cell, hence the mode, is
+    kept. It also spares the grid writer, ``format_ascii_grid``, the long
+    repr of the Gaussian tail, whose values reach down to 1e-308: the
+    writer puts a literal ``0.0`` for each flushed cell.
 
     The density is then renormalized so cell-sum * cell-area == 1 over the
-    grid; EewsimError is raised when no kernel mass is left on it.
-    The mode is the center of the maximum-density cell; ties resolve to the
-    smallest row, then column.
+    grid; EewsimError is raised when no kernel mass is left on it, and
+    when the bandwidth is so narrow that 2h² underflows or 1/(2h²)
+    overflows. The mode is the center of the maximum-density cell; ties
+    resolve to the smallest row, then column.
     """
     detected = runs[runs.detected]
     if not len(detected):
@@ -251,9 +262,13 @@ def detection_density(
     if not 2.0 * h * h:
         raise EewsimError(f"density bandwidth {h!r} deg underflows to zero when squared")
     inv = 1.0 / (2.0 * h * h)
-    a = np.exp(-((like.lat_centers()[None, :] - lats[:, None]) ** 2) * inv)
-    b = np.exp(-((like.lon_centers()[None, :] - lons[:, None]) ** 2) * inv)
-    dens = np.einsum("ki,kj->ij", a, b)
+    if math.isinf(inv):
+        raise EewsimError(f"density bandwidth {h!r} deg is too narrow: 1/(2 h**2) overflows")
+    a = _cut_tail(np.exp(-((like.lat_centers()[None, :] - lats[:, None]) ** 2) * inv))
+    b = _cut_tail(np.exp(-((like.lon_centers()[None, :] - lons[:, None]) ** 2) * inv))
+    rows, cols = _support(a), _support(b)
+    dens = np.zeros((like.nrows, like.ncols))
+    dens[rows, cols] = np.einsum("ki,kj->ij", a[:, rows], b[:, cols])
     dens[dens < np.finfo(np.float64).eps * dens.max()] = 0.0
 
     total = dens.sum() * like.cell_area_deg2
@@ -268,6 +283,19 @@ def detection_density(
     row, col = divmod(flat_mode, like.ncols)
     grid = replace(like, nodata=-9999.0, values=dens)
     return DensityGrid(grid=grid, bandwidth_deg=float(h), mode=cell_center(grid, row, col))
+
+
+def _cut_tail(factors: np.ndarray) -> np.ndarray:
+    """Set every entry below eps/m times its row's maximum to 0.0, in place (m rows)."""
+    cut = np.finfo(np.float64).eps / len(factors)
+    factors[factors < cut * factors.max(axis=1, keepdims=True)] = 0.0
+    return factors
+
+
+def _support(factors: np.ndarray) -> slice:
+    """The columns from the first to the last one that holds a non-zero entry."""
+    nonzero = np.flatnonzero(factors.any(axis=0))
+    return slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
 
 
 # --- CSV emission --------------------------------------------------------------

@@ -598,6 +598,21 @@ class TestBadConfig:
         assert err[0].startswith("error:") and "run.ini" in err[0]
         assert not (rundir / "out").exists()
 
+    def test_too_narrow_bandwidth_exit_2(self, rundir, capsys):
+        # phones on population cell centers detect on a center, where a kernel
+        # scale 1/(2h^2) = inf gave 0 * inf = NaN, two numpy warnings and a
+        # non-finite grid
+        lat2, lon2 = parse_ascii_grid(POP).center_mesh()
+        rows = [f"{lat!r},{lon!r}\n" for lat, lon in zip(lat2.ravel().tolist(), lon2.ravel().tolist())]
+        (rundir / "cat.csv").write_text("lat,lon\n" + "".join(rows * 5), encoding="utf-8")
+        (rundir / "run.ini").write_text(
+            CONFIG.replace("synth_n = 40", "path = cat.csv") + "\n[density]\nbandwidth_deg = 1e-160\n",
+            encoding="utf-8")
+        assert run(rundir, "simulate") == 2
+        assert capsys.readouterr().err == (
+            "error: density bandwidth 1e-160 deg is too narrow: 1/(2 h**2) overflows\n"
+        )
+
     @pytest.mark.parametrize("command", ["simulate", "all"])
     def test_underflowed_kernel_exit_2(self, rundir, capsys, command):
         (rundir / "run.ini").write_text(CONFIG + "\n[density]\nbandwidth_deg = 1e-6\n",

@@ -641,6 +641,20 @@ class TestCellAddressing:
         assert not inside.any()
         assert rows.tolist() == cols.tolist() == [0, 0, 0]
 
+    def test_sample_values_on_axes_equals_on_mesh(self):
+        # a column of latitudes and a row of longitudes give the mesh's bytes,
+        # with points outside the grid, on nodata and on a -0.0 cell
+        values = np.random.default_rng(7).uniform(size=(5, 7))
+        values[1, 2], values[3, 4] = -9999.0, -0.0
+        g = make_grid(values, xll=-1.0, yll=2.0, cellsize=0.5)
+        pts = make_grid(np.zeros((12, 16)), xll=-1.3, yll=1.6, cellsize=0.25)
+        lat2, lon2 = pts.center_mesh()
+        on_mesh = sample_values(g, lat2, lon2)
+        on_axes = sample_values(g, pts.lat_centers()[:, None], pts.lon_centers())
+        assert on_axes.tobytes() == on_mesh.tobytes()
+        # 52 points outside and 4 on nodata read NaN; 4 read the -0.0 cell
+        assert np.isnan(on_mesh).sum() == 56 and np.signbit(on_mesh[on_mesh == 0]).sum() == 4
+
     def test_sample_values_matches_sample_at(self):
         rng = np.random.default_rng(5)
         g = make_grid(rng.uniform(size=(4, 6)), xll=-2.0, yll=1.0, cellsize=0.5)

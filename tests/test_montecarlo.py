@@ -32,6 +32,7 @@ from eewsim.scenario import Earthquake, VelocityModel, p_arrivals_s
 from testutil import (
     LINE_BREAKS_NOT_NEWLINES,
     assert_runs_equal,
+    density_full_grid,
     density_oracle,
     linear_percentile_oracle,
     make_grid,
@@ -376,6 +377,16 @@ class TestDetectionDensity:
         with pytest.raises(EewsimError, match=r"^no detected replica to estimate a density from$"):
             detection_density(undetected, self.spec())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bandwidth_whose_kernel_scale_overflows(self):
+        # below about 5.3e-155 deg, 1/(2h^2) is inf, and a detection on a cell
+        # center gave 0 * inf = NaN
+        p = cell_center(self.spec(), 2, 3)
+        results = runs_array([self.detected(p.lat, p.lon)])
+        with pytest.raises(EewsimError, match=r"^density bandwidth 1e-160 deg is too narrow: "
+                                              r"1/\(2 h\*\*2\) overflows$"):
+            detection_density(results, self.spec(), bandwidth_deg=1e-160)
+
     def test_degenerate_bandwidth_falls_back(self):
         results = runs_array([self.detected(18.55, -72.45)])
         dg = detection_density(results, self.spec())
@@ -407,6 +418,51 @@ class TestDetectionDensity:
         assert np.all((got == 0.0) | (got >= eps * got.max()))
         assert np.all(got[want < eps * want.max()] == 0.0)
         assert abs(got.sum() * spec.cell_area_deg2 - 1.0) <= 1e-12
+
+    @given(
+        nrows=st.integers(1, 25),
+        ncols=st.integers(1, 25),
+        layout=st.sampled_from(["cluster", "corners", "outside", "single"]),
+        bandwidth=st.none() | st.floats(0.001, 0.1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nrows=25, ncols=25, layout="cluster", bandwidth=1e-3, seed=0)  # a one-cell box
+    def test_cut_factors_match_full_grid(self, nrows, ncols, layout, bandwidth, seed):
+        rng = np.random.default_rng(seed)
+        spec = make_grid(np.zeros((nrows, ncols)), xll=-73.0, yll=18.0, cellsize=0.03)
+        south, north = 18.0, 18.0 + nrows * 0.03
+        west, east = -73.0, -73.0 + ncols * 0.03
+        m = 1 if layout == "single" else int(rng.integers(2, 60))
+        if layout == "cluster":
+            lats = rng.uniform(south, north) + rng.normal(0.0, 0.003, m)
+            lons = rng.uniform(west, east) + rng.normal(0.0, 0.003, m)
+        elif layout == "corners":  # detections in opposite corners: the box is the grid
+            corner = rng.integers(0, 2, (2, m))
+            corner[:, :2] = [[0, 1], [0, 1]]
+            lats = np.where(corner[0] == 1, north, south)
+            lons = np.where(corner[1] == 1, east, west)
+        elif layout == "outside":  # up to 0.1 deg beyond the north or east edge
+            lats = rng.uniform(south, north + 0.1, m)
+            lons = np.where(lats > north, rng.uniform(west, east, m), rng.uniform(east, east + 0.1, m))
+        else:
+            lats, lons = rng.uniform(south, north, 1), rng.uniform(west, east, 1)
+        results = runs_array([self.detected(lat, lon, replica=i)
+                              for i, (lat, lon) in enumerate(zip(lats.tolist(), lons.tolist()))])
+        try:
+            want = density_full_grid(results, spec, bandwidth, cut=True)
+        except EewsimError:
+            with pytest.raises(EewsimError, match="underflowed to zero"):
+                detection_density(results, spec, bandwidth)
+            return
+        got = detection_density(results, spec, bandwidth).grid.values
+        assert got.tobytes() == want.tobytes()
+        # the cut moves the parent's full-factor grid by less than (m + 2) eps of its maximum
+        full = density_full_grid(results, spec, bandwidth)
+        tol = (m + 2) * np.finfo(np.float64).eps * full.max()
+        assert np.max(np.abs(got - full)) <= tol
+        top = np.sort(full, axis=None)[::-1][:2]
+        if top.size < 2 or top[0] - top[1] > tol:
+            assert np.argmax(got) == np.argmax(full)
 
 
 class TestCsvRoundTrip:

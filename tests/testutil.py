@@ -331,6 +331,37 @@ def density_oracle(runs, like: Grid, bandwidth_deg=None) -> tuple[np.ndarray, fl
     return dens / (dens.sum() * like.cell_area_deg2), float(h)
 
 
+def density_full_grid(runs, like: Grid, bandwidth_deg=None, cut=False) -> np.ndarray:
+    """The density as one full-grid ``einsum`` of its two exp factor matrices.
+
+    With ``cut=False`` it is the form ``detection_density`` had before it cut
+    the factors' tails, kept as its tolerance oracle. With ``cut=True`` each
+    factor row first loses its entries below eps/m times the row's maximum,
+    and ``detection_density`` must give the same bits. Both flush cells below
+    eps times the maximum to 0.0 and renormalize; EewsimError when no mass
+    is left.
+    """
+    lats = runs.lat[runs.detected].copy()
+    lons = runs.lon[runs.detected].copy()
+    h = bandwidth_deg if bandwidth_deg is not None else silverman_bandwidth_deg(lats, lons)
+    if not (math.isfinite(h) and h > 0):
+        h = like.cellsize
+    inv = 1.0 / (2.0 * h * h)
+    eps = np.finfo(np.float64).eps
+    factors = []
+    for centers, points in ((like.lat_centers(), lats), (like.lon_centers(), lons)):
+        f = np.exp(-((centers[None, :] - points[:, None]) ** 2) * inv)
+        if cut:
+            f = np.where(f >= eps / lats.size * f.max(axis=1)[:, None], f, 0.0)
+        factors.append(f)
+    dens = np.einsum("ki,kj->ij", *factors)
+    dens[dens < eps * dens.max()] = 0.0
+    total = dens.sum() * like.cell_area_deg2
+    if total <= 0:
+        raise EewsimError("no density mass left on the grid")
+    return dens / total
+
+
 def warning_vs_n_oracle(runs, eq, ap, field) -> list[WarningBand]:
     """Warning-vs-n rows with both weighted percentiles taken per replica.
 

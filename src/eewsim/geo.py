@@ -1,5 +1,6 @@
 """Geodesy primitives, regular lat/lon rasters, population exposure, and
-the one path each for reading an input file and writing a CSV.
+the one path each for reading an input file, cutting a data file's text
+into blocks of lines and writing a CSV.
 
 Grids follow the ESRI ASCII layout: a regular cell matrix anchored at the
 lower-left corner, stored row-major with row 0 as the northernmost row.
@@ -10,11 +11,13 @@ package consumes.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import threading
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -30,8 +33,9 @@ T = TypeVar("T")
 # more, on the CPUs this process may run on
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-# characters per block of raster body text
-_GRID_BLOCK_CHARS = 2**18
+# characters per block of data file text (rasters, the catalog, runs.csv);
+# bounds a reader's memory
+_BLOCK_CHARS = 2**19
 
 
 def normalize_lon(lon):
@@ -201,23 +205,35 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
-def _as_text(source: str | IO[str]) -> str:
-    return source if isinstance(source, str) else source.read()
-
-
 def fold_newlines(text: str) -> str:
     """``text`` with each ``\\r\\n`` and ``\\r`` line end made ``\\n``."""
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def physical_lines(text: str) -> list[str]:
-    """The lines of ``text``, ended only by ``\\n``, ``\\r\\n`` or ``\\r``.
+def text_blocks(source: str | IO[str]) -> Iterator[str]:
+    """The text of ``source``, a ``str`` or a text stream, in blocks of whole lines.
 
-    ``str.splitlines`` also ends lines at ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``,
-    ``\\x85``, ``\\u2028`` and ``\\u2029``, which would shift the line an
-    error names.
+    The rasters, the catalog and runs.csv are read through here. The text
+    is read ``_BLOCK_CHARS`` characters at a time, and each read is cut
+    after its last line end: a ``\\n``, or a ``\\r`` that is not its last
+    character (a ``\\n`` may follow). A line ends at ``\\n``, ``\\r\\n`` or
+    ``\\r``, whether or not the stream translated newlines, and each block
+    gets ``\\n`` for all three, a last line without one too.
+    ``str.splitlines`` would also end lines at ``\\v``, ``\\f``,
+    ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``, which would
+    shift the line an error names.
     """
-    return fold_newlines(text).split("\n")
+    fh = io.StringIO(source) if isinstance(source, str) else source
+    rest = ""
+    while block := fh.read(_BLOCK_CHARS):
+        cut = max(block.rfind("\n"), block.rfind("\r", 0, -1)) + 1
+        if cut:
+            yield fold_newlines(rest + block[:cut])
+            rest = block[cut:]
+        else:
+            rest += block
+    if rest:
+        yield fold_newlines(rest + "\n")
 
 
 def read_input(path: Path, what: str, parse: Callable[[IO[str]], T]) -> T:
@@ -282,33 +298,15 @@ def parse_ascii_grid(source: str | IO[str]) -> Grid:
     by nrows * ncols whitespace-separated numbers with row 1 of the body
     being the northernmost row.
 
-    The header lines are read one at a time from the head of the text. A
-    body of nrows lines, each of ncols plain decimals split by single
-    spaces, is read in blocks of whole lines by :func:`_read_decimal_rows`
-    (:func:`_read_grid_body`). Any other body is split into lines for
-    numpy's C reader and, where that fails, into tokens for ``float``.
+    ``source`` is a ``str`` or a text stream, read in blocks of whole lines
+    (:func:`text_blocks`). The header lines are read one at a time from the
+    first blocks, and the body's blocks are read on up to two threads
+    (:func:`map_blocks`) by :func:`_grid_values`. The blocks' values are
+    counted before any token is converted, so a wrong count is reported
+    before a token that is not a number.
     """
-    text = fold_newlines(_as_text(source))
-    header: dict[str, float] = {}
-    body_at = 0
-    for i, (at, line) in enumerate(_lines_from(text)):
-        parts = line.split()
-        if not parts:
-            continue
-        key = parts[0].lower()
-        if key not in _HEADER_KEYS:
-            body_at = at
-            break
-        if len(parts) != 2:
-            raise EewsimError(f"header line {i + 1}: expected 'key value', got {line!r}")
-        if key in header:
-            raise EewsimError(f"duplicate header {parts[0]!r}")
-        try:
-            header[key] = float(parts[1])
-        except ValueError:
-            raise EewsimError(f"header {parts[0]!r}: cannot parse {parts[1]!r}") from None
-        body_at = at + len(line) + 1
-
+    blocks = text_blocks(source)
+    header, body = _read_header(blocks)
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise EewsimError(f"missing header(s): {', '.join(missing)}")
@@ -317,21 +315,16 @@ def parse_ascii_grid(source: str | IO[str]) -> Grid:
             raise EewsimError(f"header {key} must be an integer, got {header[key]}")
 
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    values = _read_grid_body(text, body_at, nrows, ncols)
-    if values is None:
-        body = text[body_at:]
-        values = read_float_rows(body.split("\n"))
-        # where numpy's reader fails (ragged rows, a number only float takes), split into tokens
-        values = body.split() if values is None else values.ravel()
-    if len(values) != nrows * ncols:
-        raise EewsimError(
-            f"expected {nrows * ncols} values for a {nrows}x{ncols} grid, got {len(values)}"
-        )
+    parts = map_blocks(_grid_values, ((text, ncols) for text in chain([body] if body else [], blocks)))
+    count = sum(map(len, parts))
+    if count != nrows * ncols:
+        raise EewsimError(f"expected {nrows * ncols} values for a {nrows}x{ncols} grid, got {count}")
     try:
-        values = np.asarray(values, dtype=np.float64)
+        values = np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
     except ValueError:
-        bad = next(t for t in values if not _is_number(t))
+        bad = next(t for p in parts if isinstance(p, list) for t in p if not _is_number(t))
         raise EewsimError(f"grid value {bad!r} is not a number") from None
+    del parts  # the blocks' arrays go before the Grid makes its copy
     return Grid(
         ncols=ncols,
         nrows=nrows,
@@ -343,41 +336,47 @@ def parse_ascii_grid(source: str | IO[str]) -> Grid:
     )
 
 
-def _lines_from(text: str) -> Iterator[tuple[int, str]]:
-    """Each line of ``text``, as ``text.split("\\n")`` gives them, with its offset; one at a time."""
-    at = 0
-    while at <= len(text):
-        end = text.find("\n", at)
-        end = len(text) if end < 0 else end
-        yield at, text[at:end]
-        at = end + 1
+def _read_header(blocks: Iterator[str]) -> tuple[dict[str, float], str]:
+    """A raster's header, read line by line from its first blocks, and the
+    rest of the block where its body starts (empty where there is no body)."""
+    header: dict[str, float] = {}
+    lineno = 0
+    for block in blocks:
+        end = 0
+        while end < len(block):
+            at, end = end, block.index("\n", end) + 1
+            line = block[at:end - 1]
+            lineno += 1
+            parts = line.split()
+            if not parts:
+                continue
+            key = parts[0].lower()
+            if key not in _HEADER_KEYS:
+                return header, block[at:]
+            if len(parts) != 2:
+                raise EewsimError(f"header line {lineno}: expected 'key value', got {line!r}")
+            if key in header:
+                raise EewsimError(f"duplicate header {parts[0]!r}")
+            try:
+                header[key] = float(parts[1])
+            except ValueError:
+                raise EewsimError(f"header {parts[0]!r}: cannot parse {parts[1]!r}") from None
+    return header, ""
 
 
-def _read_grid_body(text: str, at: int, nrows: int, ncols: int) -> np.ndarray | None:
-    """The nrows * ncols values of the raster body at offset ``at`` of ``text``, row by row.
+def _grid_values(text: str, ncols: int) -> np.ndarray | list[str]:
+    """A block of raster body lines as its values in order: floats, or tokens for ``float``.
 
-    The body is cut into blocks of whole lines of about
-    ``_GRID_BLOCK_CHARS`` characters, each read by :func:`_read_decimal_rows`
-    with ``ncols`` space-separated fields a line (:func:`map_blocks`). A
-    rest shorter than half a block joins the last block, so a body of up
-    to 1.5 blocks is one block on one thread, and a last line without its
-    ``\\n`` gets one. Returns None where any block declines or the blocks
-    do not hold nrows rows in all.
+    A block of lines of ``ncols`` plain decimals split by single spaces is
+    read by :func:`_read_decimal_rows`; any other by numpy's C reader, and
+    where that rejects it (rows of unequal length, a number only ``float``
+    takes) it is split at whitespace. Each path reads a block to the same
+    values, so they do not depend on where the blocks were cut.
     """
-    def blocks() -> Iterator[tuple[str, int, str]]:
-        start = at
-        while start < len(text):
-            end = text.find("\n", start + _GRID_BLOCK_CHARS) + 1 or len(text)
-            if len(text) - end < _GRID_BLOCK_CHARS // 2:  # a short rest joins this block
-                end = len(text)
-            block = text[start:end]
-            yield block if block.endswith("\n") else block + "\n", ncols, " "
-            start = end
-
-    rows = map_blocks(_read_decimal_rows, blocks())
-    if not rows or any(r is None for r in rows) or sum(map(len, rows)) != nrows:
-        return None
-    return np.concatenate(rows).ravel()
+    vals = _read_decimal_rows(text, ncols, " ")
+    if vals is None:
+        vals = read_float_rows(text.split("\n"))
+    return text.split() if vals is None else vals.ravel()
 
 
 def map_blocks(read: Callable[..., T], blocks: Iterable[tuple]) -> list[T]:
@@ -423,7 +422,9 @@ def map_blocks(read: Callable[..., T], blocks: Iterable[tuple]) -> list[T]:
             t.join()
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
-    return [results[i] for i in range(len(results))]
+    # popped: ``work`` starts threads on itself, a reference cycle that would
+    # keep ``results`` alive until the garbage collector runs
+    return [results.pop(i) for i in range(len(results))]
 
 
 # one thread at a time in read_float_rows: warnings.catch_warnings swaps
@@ -601,8 +602,11 @@ def cell_indices(grid: Grid, lats, lons) -> tuple[np.ndarray, np.ndarray, np.nda
     Points on a shared cell edge land in the cell with the larger row/col
     index: columns are measured from the left edge and rows from the top
     edge, so flooring pushes boundary points east and south. Points on the
-    outer south or east edge therefore fall outside the grid. A point
-    outside gets row and column 0: its index may not fit int64, or be inf.
+    outer south or east edge therefore fall outside the grid. A row or
+    column outside the grid is given as 0: its index may not fit int64, or
+    be inf. Rows keep the shape of ``lats`` and columns that of ``lons``,
+    so a column of latitudes and a row of longitudes give a column of rows
+    and a row of columns; the mask has their broadcast shape.
     """
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
@@ -610,9 +614,10 @@ def cell_indices(grid: Grid, lats, lons) -> tuple[np.ndarray, np.ndarray, np.nda
     with np.errstate(over="ignore"):
         cols = np.floor((lons - grid.xll) / grid.cellsize)
         rows = np.floor((ytop - lats) / grid.cellsize)
-    inside = (cols >= 0) & (cols < grid.ncols) & (rows >= 0) & (rows < grid.nrows)
-    rows, cols = np.where(inside, rows, 0), np.where(inside, cols, 0)
-    return rows.astype(np.int64), cols.astype(np.int64), inside
+    col_in = (cols >= 0) & (cols < grid.ncols)
+    row_in = (rows >= 0) & (rows < grid.nrows)
+    rows, cols = np.where(row_in, rows, 0), np.where(col_in, cols, 0)
+    return rows.astype(np.int64), cols.astype(np.int64), row_in & col_in
 
 
 def sample_values(grid: Grid, lats, lons) -> np.ndarray:
@@ -622,7 +627,7 @@ def sample_values(grid: Grid, lats, lons) -> np.ndarray:
     latitudes and a row of longitudes sample a whole mesh.
     """
     rows, cols, inside = cell_indices(grid, lats, lons)
-    vals = grid.values[rows, cols]  # an outside point reads cell (0, 0)
+    vals = grid.values[rows, cols]  # an outside point reads a cell in row or column 0
     return np.where(inside & (vals != grid.nodata), vals, np.nan)
 
 
@@ -637,15 +642,18 @@ def match_cells(pop: Grid, mmi: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarra
     grid's shape: the cell centers, the intensity sampled there (NaN
     outside the intensity grid or on its nodata) and the mask of valid
     population cells whose center got an intensity. The two grids need
-    not share geometry. The arrays are read-only: a grid cannot change,
-    so the last result is returned again for the same two grid objects,
-    and ``eewsim all`` matches the cells once for exposure and warn.
+    not share geometry. The arrays are read-only, the centers broadcast
+    views of the row and column centers: a grid cannot change, so the
+    last result is returned again for the same two grid objects, and
+    ``eewsim all`` matches the cells once for exposure and warn.
     """
     last_pop, last_mmi, result = _last_match
     if pop is not last_pop or mmi is not last_mmi:
-        lat2, lon2 = pop.center_mesh()
-        mmi_at = sample_values(mmi, pop.lat_centers()[:, None], pop.lon_centers())
-        result = (lat2, lon2, mmi_at, pop.mask & np.isfinite(mmi_at))
+        lats, lons = pop.lat_centers()[:, None], pop.lon_centers()
+        mmi_at = sample_values(mmi, lats, lons)
+        shape = pop.values.shape
+        result = (np.broadcast_to(lats, shape), np.broadcast_to(lons, shape), mmi_at,
+                  pop.mask & np.isfinite(mmi_at))
         for a in result:
             a.setflags(write=False)
         _last_match[:] = pop, mmi, result

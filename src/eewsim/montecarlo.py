@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields, replace
+from itertools import chain
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from .detection import (
 )
 from .errors import EewsimError, in_range
 from .geo import (
-    GeoPoint, Grid, cell_center, format_csv, format_csv_columns, haversine_km_from, normalize_lon, physical_lines,
+    GeoPoint, Grid, cell_center, format_csv, format_csv_columns, haversine_km_from, normalize_lon, text_blocks,
 )
 from .network import Catalog, SeedSpec, check_network_size, sample_network, sample_networks
 from .scenario import Earthquake, VelocityModel, p_arrivals_s
@@ -329,8 +330,8 @@ def read_runs_csv(stream: IO[str] | str) -> np.recarray:
     trigger follows the origin, and det_lat in [-90, 90]. Longitudes are
     wrapped into [-180, 180).
     """
-    text = stream if isinstance(stream, str) else stream.read()
-    lines = [(i, ln) for i, ln in enumerate(physical_lines(text), start=1) if ln.strip()]
+    lines = chain.from_iterable(block[:-1].split("\n") for block in text_blocks(stream))
+    lines = [(i, ln) for i, ln in enumerate(lines, start=1) if ln.strip()]
     if not lines or lines[0][1] != RUNS_HEADER:
         raise EewsimError("not a runs.csv file (bad or missing header)")
     if len(lines) == 1:

@@ -20,7 +20,6 @@ rejection takes ``Generator.integers`` (:func:`sample_networks`).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterator
@@ -28,15 +27,12 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import EewsimError, in_range
-from .geo import Grid, _read_decimal_rows, fold_newlines, map_blocks, normalize_lon, read_float_rows
+from .geo import Grid, _read_decimal_rows, map_blocks, normalize_lon, read_float_rows, text_blocks
 
 # substream tags; never reuse a value for a new purpose
 STREAM_NETWORK = 1
 STREAM_TRIGGERS = 2
 STREAM_SYNTH = 3
-
-# characters per block of catalog text; bounds the loader's memory
-_BLOCK_CHARS = 2**19
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,7 @@ def load_catalog(source: str | IO[str], origin: str = "catalog") -> Catalog:
     """Read a catalog CSV: header ``lat,lon``, one point per line.
 
     ``source`` is a ``str`` or a text stream. Its text is streamed in
-    blocks of whole lines (:func:`_body_blocks`), which also give the
+    blocks of whole lines (:func:`geo.text_blocks`), which also give the
     header: the first non-blank line. The blocks are parsed on up to two
     threads (:func:`geo.map_blocks`), with the same result on one. A block
     of plain decimals is read by :func:`geo._read_decimal_rows`. Numpy's C
@@ -221,7 +217,7 @@ def load_catalog(source: str | IO[str], origin: str = "catalog") -> Catalog:
     a block a thread plus the output arrays. Blank lines are skipped, and
     an error names its 1-based line.
     """
-    blocks = _body_blocks(io.StringIO(source) if isinstance(source, str) else source)
+    blocks = text_blocks(source)
     header_no = 1
     for text in blocks:
         body = text.lstrip()
@@ -246,26 +242,6 @@ def load_catalog(source: str | IO[str], origin: str = "catalog") -> Catalog:
     if not vals.size:
         raise EewsimError(f"{origin}: no data rows")
     return Catalog(lats=vals[:, 0], lons=vals[:, 1])
-
-
-def _body_blocks(fh: IO[str]) -> Iterator[str]:
-    """The text of ``fh`` in blocks of whole lines, each line ended by ``\\n``.
-
-    ``fh`` is read ``_BLOCK_CHARS`` characters at a time, and each read is
-    cut after its last line end: a ``\\n``, or a ``\\r`` that is not its
-    last character (a ``\\n`` may follow). A line ends at ``\\n``,
-    ``\\r\\n`` or ``\\r``, and each block gets ``\\n`` for all three.
-    """
-    rest = ""
-    while block := fh.read(_BLOCK_CHARS):
-        cut = max(block.rfind("\n"), block.rfind("\r", 0, -1)) + 1
-        if cut:
-            yield fold_newlines(rest + block[:cut])
-            rest = block[cut:]
-        else:
-            rest += block
-    if rest:
-        yield fold_newlines(rest + "\n")
 
 
 def _in_domain(vals: np.ndarray) -> bool:

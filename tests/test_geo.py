@@ -1,8 +1,10 @@
 import csv
+import io
 import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,11 +293,16 @@ def _grid_outcome(parse, text: str):
     return g.values.shape, g.values.tobytes()
 
 
-def _parse_in_blocks(text: str, block_chars: int, workers: int = geo._WORKERS):
+def _parse_in_blocks(text: str, block_chars: int, path, workers: int = geo._WORKERS) -> list:
+    """What ``parse_ascii_grid`` makes of ``text`` in blocks of ``block_chars``
+    as a str, as an ``io.StringIO`` and as a file read with untranslated newlines."""
+    path.write_text(text, encoding="utf-8", newline="")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geo, "_GRID_BLOCK_CHARS", block_chars)
+        mp.setattr(geo, "_BLOCK_CHARS", block_chars)
         mp.setattr(geo, "_WORKERS", workers)
-        return _grid_outcome(parse_ascii_grid, text)
+        got = [_grid_outcome(parse_ascii_grid, source) for source in (text, io.StringIO(text))]
+        with open(path, encoding="utf-8", newline="") as fh:
+            return got + [_grid_outcome(parse_ascii_grid, fh)]
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -323,19 +330,22 @@ class TestGridBodyReader:
 
     @given(st.integers(1, 4).flatmap(lambda ncols: st.lists(
         st.lists(_RASTER_FIELD, min_size=ncols, max_size=ncols), min_size=1, max_size=5)),
-        st.sampled_from([1, 2**18]), st.sampled_from([1, 2]))
+        st.sampled_from([1, 8, 2**19]), st.sampled_from([1, 2]))
     @example([["18.47485606619456", "-72.1862122923906"], ["-0", "-9999"]], 1, 2)
-    def test_matches_split_oracle(self, rows, block_chars, workers):
-        # a block of 1 character is cut after its first line: one line a block
+    def test_matches_split_oracle(self, tmp_path_factory, rows, block_chars, workers):
+        # a block of 1 character is cut after its first line: one line a
+        # block, each header line in a block of its own
         text = _grid_text(len(rows[0]), len(rows), "".join(" ".join(r) + "\n" for r in rows))
-        assert _parse_in_blocks(text, block_chars, workers) == _grid_outcome(parse_ascii_grid_oracle, text)
+        got = _parse_in_blocks(text, block_chars, tmp_path_factory.getbasetemp() / "grid.asc", workers)
+        assert got == [_grid_outcome(parse_ascii_grid_oracle, text)] * 3
 
     @given(st.integers(1, 5).flatmap(
         lambda ncols: st.lists(st.lists(_CELL, min_size=ncols, max_size=ncols), min_size=1, max_size=4)
-    ), st.sampled_from([1, 2**18]))
-    def test_written_grids_match_split_oracle(self, rows, block_chars):
+    ), st.sampled_from([1, 2**19]))
+    def test_written_grids_match_split_oracle(self, tmp_path_factory, rows, block_chars):
         text = format_ascii_grid(make_grid(rows))
-        assert _parse_in_blocks(text, block_chars) == _grid_outcome(parse_ascii_grid_oracle, text)
+        got = _parse_in_blocks(text, block_chars, tmp_path_factory.getbasetemp() / "grid.asc")
+        assert got == [_grid_outcome(parse_ascii_grid_oracle, text)] * 3
 
     @pytest.mark.parametrize("block_chars", [1, 8, 2**18])
     @pytest.mark.parametrize("body", [
@@ -367,16 +377,17 @@ class TestGridBodyReader:
         "",
         "\n",
     ])
-    def test_declined_bodies_match_split_oracle(self, body, block_chars):
+    def test_declined_bodies_match_split_oracle(self, tmp_path, body, block_chars):
         text = _grid_text(3, 2, body)
-        assert _parse_in_blocks(text, block_chars) == _grid_outcome(parse_ascii_grid_oracle, text)
+        got = _parse_in_blocks(text, block_chars, tmp_path / "grid.asc")
+        assert got == [_grid_outcome(parse_ascii_grid_oracle, text)] * 3
 
     def test_plain_grid_stays_on_the_decimal_reader(self, monkeypatch):
         def fallback(*args, **kwargs):
             raise AssertionError("body parsed by a fallback")
 
         monkeypatch.setattr(geo, "read_float_rows", fallback)
-        monkeypatch.setattr(geo, "_GRID_BLOCK_CHARS", 64)
+        monkeypatch.setattr(geo, "_BLOCK_CHARS", 64)
         rng = np.random.default_rng(27)
         vals = rng.uniform(-1e3, 1e3, size=(40, 7))
         vals[rng.random(vals.shape) < 0.2] = -9999.0
@@ -386,29 +397,13 @@ class TestGridBodyReader:
         assert parse_ascii_grid(text).values.tobytes() == g.values.tobytes()
         assert parse_ascii_grid(text.rstrip("\n")).values.tobytes() == g.values.tobytes()
 
-    @pytest.mark.parametrize("rows, blocks", [(10, 1), (14, 1), (15, 2), (20, 2), (28, 3)])
-    def test_a_short_rest_joins_the_last_block(self, monkeypatch, rows, blocks):
-        # ten 11-character lines a block: a rest under five lines joins the last block
-        read = geo._read_decimal_rows
-        sizes = []
-
-        def counting(text, ncols, sep):
-            sizes.append(text.count("\n"))
-            return read(text, ncols, sep)
-
-        monkeypatch.setattr(geo, "_read_decimal_rows", counting)
-        monkeypatch.setattr(geo, "_GRID_BLOCK_CHARS", 109)
-        g = parse_ascii_grid(_grid_text(3, rows, "1.5 -2 3.0\n" * rows))
-        assert g.values.shape == (rows, 3)
-        assert sorted(sizes) == sorted([10] * (blocks - 1) + [rows - 10 * (blocks - 1)])
-
     @pytest.mark.parametrize("block_chars", [16, 2**18])
-    def test_thread_count_does_not_change_the_bytes(self, block_chars):
+    def test_thread_count_does_not_change_the_bytes(self, tmp_path, block_chars):
         rng = np.random.default_rng(5)
         g = make_grid(rng.uniform(-1e6, 1e6, size=(60, 9)))
         text = format_ascii_grid(g)
-        one, two = (_parse_in_blocks(text, block_chars, workers) for workers in (1, 2))
-        assert one == two == (g.values.shape, g.values.tobytes())
+        one, two = (_parse_in_blocks(text, block_chars, tmp_path / "grid.asc", workers) for workers in (1, 2))
+        assert one == two == [(g.values.shape, g.values.tobytes())] * 3
 
     def test_error_in_a_block_reaches_the_caller(self, monkeypatch):
         # one line a block: the reader raises on the fourth block, body row 3
@@ -420,12 +415,35 @@ class TestGridBodyReader:
             return read(text, ncols, sep)
 
         monkeypatch.setattr(geo, "_read_decimal_rows", failing)
-        monkeypatch.setattr(geo, "_GRID_BLOCK_CHARS", 1)
+        monkeypatch.setattr(geo, "_BLOCK_CHARS", 1)
         text = _grid_text(2, 6, "".join(f"{r} {r}.5\n" for r in range(6)))
         before = threading.active_count()
         with pytest.raises(KeyError, match="block 3"):
             parse_ascii_grid(text)
         assert threading.active_count() == before
+
+    def test_memory_bounded_by_one_block(self, monkeypatch, tmp_path):
+        # The output is 8 bytes a value. Building the Grid holds the parsed
+        # values, its private copy, and its finite check's mask and copy of
+        # the data cells: under four times that. A block of text and its
+        # working arrays take under 64 bytes a character. The whole text, at
+        # about 19 characters a value, would not fit beside them.
+        monkeypatch.setattr(geo, "_BLOCK_CHARS", 2**15)
+        vals = np.random.default_rng(3).uniform(-1e3, 1e3, size=(400, 1000))
+        text = format_ascii_grid(make_grid(vals, cellsize=0.01))
+        path = tmp_path / "big.asc"
+        bound = 4 * 8 * vals.size + 64 * geo._BLOCK_CHARS
+        for end, newline in [("\n", None), ("\r\n", "")]:
+            path.write_text(text.replace("\n", end), encoding="utf-8", newline="")
+            tracemalloc.start()
+            try:
+                with open(path, encoding="utf-8", newline=newline) as fh:
+                    g = parse_ascii_grid(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert g.values.tobytes() == vals.tobytes()
+            assert peak < bound, (end, peak, bound)
 
 
 class TestMapBlocks:
@@ -640,6 +658,20 @@ class TestCellAddressing:
         rows, cols, inside = cell_indices(g, [0.5, 1e-300, -80.0], [0.5, 1e-300, 359.0])
         assert not inside.any()
         assert rows.tolist() == cols.tolist() == [0, 0, 0]
+
+    def test_axes_keep_their_shapes(self):
+        # a column of latitudes and a row of longitudes give a column of rows
+        # and a row of columns, with points outside the grid on either axis
+        g = make_grid(np.zeros((3, 4)))
+        lats = np.array([[-1.0], [0.5], [1.5], [2.5], [9.0]])
+        lons = np.array([[-1.0, 0.5, 3.5, 7.0]])
+        rows, cols, inside = cell_indices(g, lats, lons)
+        assert (rows.shape, cols.shape, inside.shape) == ((5, 1), (1, 4), (5, 4))
+        assert rows.ravel().tolist() == [0, 2, 1, 0, 0] and cols.ravel().tolist() == [0, 0, 3, 0]
+        mesh_rows, mesh_cols, mesh_inside = cell_indices(g, *np.broadcast_arrays(lats, lons))
+        np.testing.assert_array_equal(inside, mesh_inside)
+        np.testing.assert_array_equal(np.broadcast_to(rows, inside.shape)[inside], mesh_rows[inside])
+        np.testing.assert_array_equal(np.broadcast_to(cols, inside.shape)[inside], mesh_cols[inside])
 
     def test_sample_values_on_axes_equals_on_mesh(self):
         # a column of latitudes and a row of longitudes give the mesh's bytes,

@@ -144,7 +144,7 @@ _HEADER_ERRORS = {
 class TestLoadCatalogStreaming:
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_matches_row_oracle(self, monkeypatch, tmp_path, chunk):
-        monkeypatch.setattr(network, "_BLOCK_CHARS", 8 * chunk)
+        monkeypatch.setattr(geo, "_BLOCK_CHARS", 8 * chunk)
         text = _messy_catalog(np.random.default_rng(chunk), 300)
         got = _outcomes(load_catalog, text, tmp_path / "cat.csv")
         assert got == _outcomes(load_catalog_oracle, text, tmp_path / "cat.csv")
@@ -164,7 +164,7 @@ class TestLoadCatalogStreaming:
         "-90.000001,-72.1",
     ])
     def test_bad_row_in_later_chunk_matches_oracle(self, monkeypatch, tmp_path, bad):
-        monkeypatch.setattr(network, "_BLOCK_CHARS", 32)
+        monkeypatch.setattr(geo, "_BLOCK_CHARS", 32)
         good = "".join(f"18.{k},-72.{k}\n" for k in range(1, 10))
         text = f"lat,lon\n{good}\n{bad}\r\n{good}"
         got = _outcomes(load_catalog, text, tmp_path / "cat.csv")
@@ -173,7 +173,7 @@ class TestLoadCatalogStreaming:
 
     @pytest.mark.parametrize("text", list(_HEADER_ERRORS))
     def test_header_and_empty_cases_match_oracle(self, monkeypatch, tmp_path, text):
-        monkeypatch.setattr(network, "_BLOCK_CHARS", 8)
+        monkeypatch.setattr(geo, "_BLOCK_CHARS", 8)
         got = _outcomes(load_catalog, text, tmp_path / "cat.csv")
         assert got == _outcomes(load_catalog_oracle, text, tmp_path / "cat.csv")
         assert got == [(EewsimError, _HEADER_ERRORS[text])] * 4
@@ -189,7 +189,7 @@ class TestLoadCatalogStreaming:
         # must give the oracle's values, or its error for the same line
         text = newline.join(["lat,lon", *lines, ""])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(network, "_BLOCK_CHARS", 8 * chunk)
+            mp.setattr(geo, "_BLOCK_CHARS", 8 * chunk)
             got = [_outcome(load_catalog, text), _outcome(load_catalog, io.StringIO(text))]
         want = _outcome(load_catalog_oracle, text)
         assert got == [want, want]
@@ -201,7 +201,7 @@ class TestLoadCatalogStreaming:
         def per_line(*args):
             raise AssertionError("block parsed line by line")
 
-        monkeypatch.setattr(network, "_BLOCK_CHARS", 128)
+        monkeypatch.setattr(geo, "_BLOCK_CHARS", 128)
         monkeypatch.setattr(network, "_parse_lines", per_line)
         rng = np.random.default_rng(len(blank))
         lines = ["lat,lon"]
@@ -216,7 +216,7 @@ class TestLoadCatalogStreaming:
 
     @pytest.mark.parametrize("bad", [None, "18.5,abc"])
     def test_thread_count_does_not_change_the_outcome(self, monkeypatch, tmp_path, bad):
-        monkeypatch.setattr(network, "_BLOCK_CHARS", 256)
+        monkeypatch.setattr(geo, "_BLOCK_CHARS", 256)
         text = _messy_catalog(np.random.default_rng(9), 600)
         if bad:  # the same error from the first bad block whichever thread reads it
             text = text.replace("\n", f"\n{bad}\n", 40).replace(f"\n{bad}\n", "\n", 20)
@@ -239,7 +239,7 @@ class TestLoadCatalogStreaming:
             return parse(text, first_lineno, origin)
 
         monkeypatch.setattr(geo, "_WORKERS", workers)
-        monkeypatch.setattr(network, "_BLOCK_CHARS", 40)
+        monkeypatch.setattr(geo, "_BLOCK_CHARS", 40)
         monkeypatch.setattr(network, "_parse_chunk", failing)
         text = "lat,lon\n" + "".join(f"1{k}.25,-7{k}.5\n" for k in range(10)) * 3
         load_catalog(text)
@@ -257,12 +257,12 @@ class TestLoadCatalogStreaming:
         # copies and its tokens take under 128 bytes a character. A file
         # whose lines end in \r alone, read without newline translation, is
         # cut into blocks at its \r's too.
-        monkeypatch.setattr(network, "_BLOCK_CHARS", 2**15)
+        monkeypatch.setattr(geo, "_BLOCK_CHARS", 2**15)
         n = 200_000
         rng = np.random.default_rng(0)
         path = tmp_path / "cat.csv"
         rows = list(zip(rng.uniform(17.9, 19.9, n).tolist(), rng.uniform(-74.4, -71.7, n).tolist()))
-        bound = 3 * 16 * n + 128 * network._BLOCK_CHARS
+        bound = 3 * 16 * n + 128 * geo._BLOCK_CHARS
         for end, newline in [("\n", None), ("\r", "")]:
             path.write_text(f"lat,lon{end}" + "".join(f"{a!r},{b!r}{end}" for a, b in rows),
                             newline="")
@@ -434,7 +434,7 @@ class TestReadDecimalRows:
     def test_untranslated_line_ends_match_row_oracle(self, monkeypatch, tmp_path, chunk):
         # a handle opened with newline="" keeps each \r and \r\n; its lines
         # still end at \n, \r\n or \r
-        monkeypatch.setattr(network, "_BLOCK_CHARS", 8 * chunk)
+        monkeypatch.setattr(geo, "_BLOCK_CHARS", 8 * chunk)
         text = _messy_catalog(np.random.default_rng(chunk + 1), 300)
         path = tmp_path / "cat.csv"
         path.write_text(text, encoding="utf-8", newline="")

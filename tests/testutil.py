@@ -10,7 +10,7 @@ import numpy as np
 
 from eewsim.detection import Triggers
 from eewsim.errors import EewsimError
-from eewsim.geo import _HEADER_KEYS, GeoPoint, Grid, _as_text, _is_number
+from eewsim.geo import _HEADER_KEYS, GeoPoint, Grid, _is_number
 from eewsim.montecarlo import RUNS_DTYPE, _runs, percentile, silverman_bandwidth_deg
 from eewsim.network import Catalog
 from eewsim.scenario import hypocentral_km_points, p_arrivals_s, s_arrivals_s
@@ -19,6 +19,11 @@ from eewsim.warning import WarningBand, weighted_percentile
 
 # the characters besides \n and \r at which str.splitlines ends a line
 LINE_BREAKS_NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _as_text(source) -> str:
+    """The whole text of a ``str`` or a text stream."""
+    return source if isinstance(source, str) else source.read()
 
 
 def make_grid(values, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0) -> Grid:

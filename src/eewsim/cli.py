@@ -2,7 +2,8 @@
 
 Every command is a pure function of (config file, input files,
 master_seed): reruns produce byte-identical outputs. Exit codes: 0 success,
-1 internal error, 2 invalid input or configuration.
+1 internal error, 2 invalid input or configuration, or a run whose arrays
+do not fit in memory (``MemoryError``).
 
 A command's outputs appear together or not at all. Each output goes to a
 hidden temp file beside its target (``.<name>.tmp``) as soon as it is
@@ -219,8 +220,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             run.commit()
         finally:
             run.discard()
-    except (EewsimError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (EewsimError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:
         traceback.print_exc()

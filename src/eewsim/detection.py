@@ -1,16 +1,16 @@
 """Two-step earthquake detection simulation.
 
 Step one draws per-phone triggers on a network of n phones (sampled from
-the catalog in O(n) by a sparse Fisher-Yates, whatever the catalog size):
-each phone independently notices the P wave with probability ``p_detect``
-and reports it after a uniform random delay. The triggers are kept as
-columns sorted by (time, lat, lon). Step two is the server-side
-declaration: scanning triggers in time order, a detection fires at the
-first trigger that closes a time window holding at least ``k_min``
-triggers. With no background (false) triggers in the simulation, this
-count threshold is the whole detector; its location estimate is the
-coordinate-wise median of the contributing triggers, robust against a
-stray distant phone.
+the catalog in O(n log n) by a sparse Fisher-Yates, whatever the catalog
+size): each phone independently notices the P wave with probability
+``p_detect`` and reports it after a uniform random delay. The triggers
+are kept as columns sorted by (time, lat, lon). Step two is the
+server-side declaration: scanning triggers in time order, a detection
+fires at the first trigger that closes a time window holding at least
+``k_min`` triggers. With no background (false) triggers in the
+simulation, this count threshold is the whole detector; its location
+estimate is the coordinate-wise median of the contributing triggers,
+robust against a stray distant phone.
 
 The scan has a closed form. At the first firing trigger j the window held
 fewer than k_min triggers one step earlier, so it now holds exactly

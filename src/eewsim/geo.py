@@ -15,7 +15,6 @@ import io
 import math
 import os
 import threading
-import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -97,7 +96,7 @@ class Grid:
         if vals.size != self.nrows * self.ncols:
             raise EewsimError(f"expected {self.nrows * self.ncols} values, got {vals.size}")
         vals = vals.reshape(self.nrows, self.ncols)
-        if not np.isfinite(vals[vals != self.nodata]).all():
+        if not (np.isfinite(vals) | (vals == self.nodata)).all():
             raise EewsimError("grid contains non-finite values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -427,24 +426,20 @@ def map_blocks(read: Callable[..., T], blocks: Iterable[tuple]) -> list[T]:
     return [results.pop(i) for i in range(len(results))]
 
 
-# one thread at a time in read_float_rows: warnings.catch_warnings swaps
-# process-wide state
-_LOADTXT_LOCK = threading.Lock()
-
-
-def read_float_rows(lines: Iterable[str], delimiter: str | None = None) -> np.ndarray | None:
+def read_float_rows(lines: Sequence[str], delimiter: str | None = None) -> np.ndarray | None:
     """Lines parsed by numpy's C reader as a 2-D float64 array, or None if it fails.
 
-    Empty lines are skipped. The reader fails on rows of unequal length and
-    on any field but an ASCII number, some of which ``float`` takes (``1_0``,
-    full-width digits): a caller re-parses a failed text with ``float``.
+    Empty lines are skipped, and lines that are all blank give a (0, 1)
+    array. The reader fails on rows of unequal length and on any field but
+    an ASCII number, some of which ``float`` takes (``1_0``, full-width
+    digits): a caller re-parses a failed text with ``float``.
     """
-    with _LOADTXT_LOCK, warnings.catch_warnings():  # no data lines is no error: the array is empty
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
-        except ValueError:
-            return None
+    if not any(map(str.strip, lines)):  # where loadtxt would warn of no data
+        return np.empty((0, 1))
+    try:
+        return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
 
 
 def _wide_float(dtype) -> tuple[type, int, np.ndarray]:
@@ -631,10 +626,6 @@ def sample_values(grid: Grid, lats, lons) -> np.ndarray:
     return np.where(inside & (vals != grid.nodata), vals, np.nan)
 
 
-# the last match_cells arguments and result
-_last_match: list = [None, None, None]
-
-
 def match_cells(pop: Grid, mmi: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Match every population cell to the intensity at its center.
 
@@ -642,22 +633,14 @@ def match_cells(pop: Grid, mmi: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarra
     grid's shape: the cell centers, the intensity sampled there (NaN
     outside the intensity grid or on its nodata) and the mask of valid
     population cells whose center got an intensity. The two grids need
-    not share geometry. The arrays are read-only, the centers broadcast
-    views of the row and column centers: a grid cannot change, so the
-    last result is returned again for the same two grid objects, and
-    ``eewsim all`` matches the cells once for exposure and warn.
+    not share geometry. The centers are read-only broadcast views of the
+    row and column centers.
     """
-    last_pop, last_mmi, result = _last_match
-    if pop is not last_pop or mmi is not last_mmi:
-        lats, lons = pop.lat_centers()[:, None], pop.lon_centers()
-        mmi_at = sample_values(mmi, lats, lons)
-        shape = pop.values.shape
-        result = (np.broadcast_to(lats, shape), np.broadcast_to(lons, shape), mmi_at,
-                  pop.mask & np.isfinite(mmi_at))
-        for a in result:
-            a.setflags(write=False)
-        _last_match[:] = pop, mmi, result
-    return result
+    lats, lons = pop.lat_centers()[:, None], pop.lon_centers()
+    mmi_at = sample_values(mmi, lats, lons)
+    shape = pop.values.shape
+    return (np.broadcast_to(lats, shape), np.broadcast_to(lons, shape), mmi_at,
+            pop.mask & np.isfinite(mmi_at))
 
 
 # --- intensity bins and exposure --------------------------------------------

@@ -156,7 +156,9 @@ def run_campaign(
     detections yields a summary with rate 0 and absent statistics rather
     than failing the campaign.
     """
-    in_range("replicas", replicas, 1)
+    # the runs array's byte size must fit np.intp
+    max_rows = np.iinfo(np.intp).max // RUNS_DTYPE.itemsize
+    in_range("replicas", replicas, 1, max_rows // max(1, len(n_grid)))
     runs = np.zeros(len(n_grid) * replicas, RUNS_DTYPE)
     for name in ("delay_s", "distance_km", "lat", "lon"):
         runs[name] = math.nan

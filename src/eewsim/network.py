@@ -290,7 +290,8 @@ def synth_catalog(pop: Grid, n_points: int, seed: int) -> Catalog:
     population; each point is then jittered uniformly within its cell.
     Deterministic for a given (grid, n_points, seed).
     """
-    in_range("n_points", n_points, 1)
+    # a point takes 8 bytes in each array drawn here, whose byte size must fit np.intp
+    in_range("n_points", n_points, 1, np.iinfo(np.intp).max // 8)
     weights = np.where(pop.mask & (pop.values > 0), pop.values, 0.0).ravel()
     total = weights.sum()
     if total <= 0:

@@ -286,20 +286,6 @@ class TestWarn:
         assert run(rundir, "warn") == 0
         assert len(calls) == 1
 
-    def test_all_matches_cells_once(self, rundir, monkeypatch):
-        # exposure and warn share one match of the population cells to the
-        # intensity grid
-        calls = []
-        sample_values = eewsim.geo.sample_values
-
-        def counting(*args):
-            calls.append(args)
-            return sample_values(*args)
-
-        monkeypatch.setattr(eewsim.geo, "sample_values", counting)
-        assert run(rundir, "all") == 0
-        assert len(calls) == 1
-
     def test_empty_bin_emits_population_zero_row(self, rundir):
         cfg = CONFIG + "\n[warning]\nmmi_bins = (7.5,8] (11,12]\n"
         (rundir / "run.ini").write_text(cfg, encoding="utf-8")
@@ -498,6 +484,39 @@ class TestBadConfig:
         assert capsys.readouterr().err == (
             f"error: {rundir / 'mmi.asc'}: MMI grid value must be in [0, 12], got 14.0\n"
         )
+
+    @pytest.mark.parametrize("command, setting, argv, name", [
+        pytest.param("simulate", "synth_n = 40", ["--replicas", str(2**62)], "replicas", id="replicas-2**62"),
+        pytest.param("simulate", "synth_n = 40", ["--replicas", str(2**60)], "replicas", id="replicas-2**60"),
+        pytest.param("synth", f"synth_n = {2**62}", [], "n_points", id="synth_n-2**62"),
+    ])
+    def test_count_too_large_to_allocate_exit_2(self, rundir, capsys, command, setting, argv, name):
+        # numpy raised ValueError ("Maximum allowed dimension exceeded",
+        # "array is too big") for these: exit 1 with a traceback
+        (rundir / "run.ini").write_text(CONFIG.replace("synth_n = 40", setting), encoding="utf-8")
+        assert run(rundir, command, *argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        got = argv[-1] if argv else setting.split()[-1]
+        assert err[0].startswith(f"error: {name} must be in [1, ") and err[0].endswith(f"], got {got}")
+        assert not (rundir / "out").exists()
+
+    @pytest.mark.parametrize("error, message", [
+        pytest.param(MemoryError("Unable to allocate 1.27 TiB for an array with shape (5000000000,)"),
+                     "Unable to allocate 1.27 TiB for an array with shape (5000000000,)", id="numpy"),
+        pytest.param(MemoryError(), "out of memory", id="bare"),
+    ])
+    def test_memory_error_exit_2(self, rundir, capsys, monkeypatch, error, message):
+        # a count numpy cannot allocate, such as --replicas 5000000000 on
+        # the demo config, exits 2 and leaves the outputs of the stages
+        # before it unwritten
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(eewsim.cli, "run_campaign", fail)
+        assert run(rundir, "all") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (rundir / "out").exists()
 
     def test_non_utf8_catalog_exit_2(self, rundir, capsys):
         (rundir / "run.ini").write_text(CONFIG.replace("synth_n = 40", "path = cat.csv"),

@@ -5,13 +5,14 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from eewsim import geo
+from eewsim import geo, network
 from eewsim.errors import EewsimError
 from eewsim.geo import (
     EARTH_RADIUS_KM,
@@ -240,6 +241,20 @@ class TestAsciiGrid:
         with pytest.raises(EewsimError, match=r"^grid contains non-finite values$"):
             parse_ascii_grid(bad)
 
+    def test_finite_check_copies_no_cells(self):
+        # the Grid's own copy of the values, and bool arrays for the check;
+        # a copy of the data cells for the check took the peak to about 2x
+        vals = np.random.default_rng(8).uniform(-1e3, 1e3, size=(400, 1000))
+        vals[::7] = -9999.0
+        bound = 1.5 * vals.nbytes
+        tracemalloc.start()
+        try:
+            make_grid(vals, cellsize=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak / vals.nbytes
+
     def test_nodata_cells_preserved(self):
         text = ASC_2X2.replace("3 4", "-9999 4")
         g = parse_ascii_grid(text)
@@ -424,10 +439,10 @@ class TestGridBodyReader:
 
     def test_memory_bounded_by_one_block(self, monkeypatch, tmp_path):
         # The output is 8 bytes a value. Building the Grid holds the parsed
-        # values, its private copy, and its finite check's mask and copy of
-        # the data cells: under four times that. A block of text and its
-        # working arrays take under 64 bytes a character. The whole text, at
-        # about 19 characters a value, would not fit beside them.
+        # values, its private copy and its finite check's bool arrays: under
+        # four times that. A block of text and its working arrays take under
+        # 64 bytes a character. The whole text, at about 19 characters a
+        # value, would not fit beside them.
         monkeypatch.setattr(geo, "_BLOCK_CHARS", 2**15)
         vals = np.random.default_rng(3).uniform(-1e3, 1e3, size=(400, 1000))
         text = format_ascii_grid(make_grid(vals, cellsize=0.01))
@@ -557,6 +572,51 @@ class TestReadFloatRows:
     ])
     def test_rejects_what_it_cannot_read(self, lines):
         assert read_float_rows(lines, delimiter=",") is None
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @pytest.mark.parametrize("case", ["catalog", "indented raster", "blank block"])
+    def test_touches_no_warning_filter(self, monkeypatch, case):
+        # the readers run on two threads, and swapping the process-wide
+        # warning filters is not thread-safe
+        calls = []
+        read = geo.read_float_rows
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return read(*args, **kwargs)
+
+        def swap(*args, **kwargs):
+            raise AssertionError("warning filters swapped")
+
+        rows = [[18.25, -72.5, 3.0], [-0.5, 7.125, 100.0]]
+        want = np.array(rows)
+        if case == "catalog":
+            # a blank line and spaces after the commas: the decimal reader declines
+            text = "lat,lon\n\n" + "".join(f"{a}, {b}\n" for a, b, _ in rows)
+            want = want[:, :2]
+
+            def parse():
+                cat = network.load_catalog(text)
+                return np.column_stack([cat.lats, cat.lons])
+        else:
+            lines = [" ".join(map(repr, r)) + "\n" for r in rows]
+            if case == "indented raster":
+                body = "".join(" " + line for line in lines)
+            else:  # blocks of 16 characters, some holding blank lines only
+                monkeypatch.setattr(geo, "_BLOCK_CHARS", 16)
+                body = lines[0] + "\n" * 40 + " \t \n" * 10 + lines[1]
+
+            def parse():
+                return parse_ascii_grid(_grid_text(3, 2, body)).values
+        with monkeypatch.context() as m:
+            m.setattr(geo, "read_float_rows", counting)
+            m.setattr(network, "read_float_rows", counting)
+            m.setattr(warnings, "catch_warnings", swap)
+            got = parse()
+        assert got.tobytes() == want.tobytes()
+        assert calls
+        if case == "blank block":
+            assert any(not "".join(block).strip() for block, *_ in calls)
 
 
 class TestGridRoleChecks:

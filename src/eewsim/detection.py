@@ -203,5 +203,5 @@ def detect(triggers: Triggers, dp: DetectorParams) -> Detection | None:
 def detection_metrics(det: Detection, eq: Earthquake) -> tuple[float, float]:
     """(delay since origin in s, great-circle separation from epicenter in km)."""
     delay_s = det.time_s - eq.origin_time_s
-    distance_km = haversine_km(det.location, eq.epicenter)
+    distance_km = haversine_km(eq.epicenter, det.location)
     return delay_s, distance_km

@@ -5,8 +5,8 @@ into blocks of lines and writing a CSV.
 Grids follow the ESRI ASCII layout: a regular cell matrix anchored at the
 lower-left corner, stored row-major with row 0 as the northernmost row.
 All distances are great-circle distances on a sphere of radius 6371 km,
-which is accurate to well below the ~1 km resolution of the rasters this
-package consumes.
+accurate to well below the ~1 km resolution of the rasters this package
+consumes, and :func:`haversine_km_points` computes every one.
 """
 
 from __future__ import annotations
@@ -166,30 +166,15 @@ def check_mmi_grid(grid: Grid) -> Grid:
 
 
 def haversine_km_points(origin: GeoPoint, lats, lons) -> np.ndarray:
-    """Great-circle distance in km from ``origin`` to each (lat, lon) pair."""
-    lat0 = math.radians(origin.lat)
-    return _haversine_km(lat0, math.radians(origin.lon), math.cos(lat0),
-                         np.radians(np.asarray(lats, dtype=np.float64)),
-                         np.radians(np.asarray(lons, dtype=np.float64)))
+    """Great-circle distance in km from ``origin`` to each (lat, lon) pair.
 
-
-def haversine_km_from(lats, lons, to: GeoPoint) -> np.ndarray:
-    """``haversine_km(GeoPoint(lat, lon), to)`` for each (lat, lon) pair, bit for bit.
-
-    ``haversine_km`` works on numpy scalars, whose ``** 2`` is libm's
-    ``pow``, where an array's is ``x * x``, correctly rounded; they differ
-    in the last bit for about 1 in 1000 values, so the squares here take
-    ``pow``.
+    Squares with ``np.square``, so a 0-d point gives the bits it gives
+    inside an array (a numpy scalar's ``** 2`` is libm's ``pow``).
     """
-    lat0 = np.radians(lats)
-    return _haversine_km(lat0, np.radians(lons), np.cos(lat0),
-                         np.radians(np.asarray(to.lat)), np.radians(np.asarray(to.lon)),
-                         square=lambda x: np.array([v**2 for v in x.tolist()]))
-
-
-def _haversine_km(lat0, lon0, cos_lat0, lat, lon, square=lambda x: x**2) -> np.ndarray:
-    """Haversine in radians from origins (lat0, lon0) to (lat, lon); either side may be arrays."""
-    a = square(np.sin((lat - lat0) / 2.0)) + cos_lat0 * np.cos(lat) * square(np.sin((lon - lon0) / 2.0))
+    lat0, lon0 = math.radians(origin.lat), math.radians(origin.lon)
+    lat = np.radians(np.asarray(lats, dtype=np.float64))
+    lon = np.radians(np.asarray(lons, dtype=np.float64))
+    a = np.square(np.sin((lat - lat0) / 2.0)) + math.cos(lat0) * np.cos(lat) * np.square(np.sin((lon - lon0) / 2.0))
     # clip guards rounding slightly above 1 for antipodal pairs
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 

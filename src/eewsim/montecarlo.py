@@ -21,7 +21,7 @@ from .detection import (
 )
 from .errors import EewsimError, in_range
 from .geo import (
-    GeoPoint, Grid, cell_center, format_csv, format_csv_columns, haversine_km_from, normalize_lon, text_blocks,
+    GeoPoint, Grid, cell_center, format_csv, format_csv_columns, haversine_km_points, normalize_lon, text_blocks,
 )
 from .network import Catalog, SeedSpec, check_network_size, sample_network, sample_networks
 from .scenario import Earthquake, VelocityModel, p_arrivals_s
@@ -156,9 +156,10 @@ def run_campaign(
     detections yields a summary with rate 0 and absent statistics rather
     than failing the campaign.
     """
-    # the runs array's byte size must fit np.intp
+    # a replica is one uint32 word of its seed (seed_keys), and the runs
+    # array's byte size must fit np.intp
     max_rows = np.iinfo(np.intp).max // RUNS_DTYPE.itemsize
-    in_range("replicas", replicas, 1, max_rows // max(1, len(n_grid)))
+    in_range("replicas", replicas, 1, min(2**32 - 1, max_rows // max(1, len(n_grid))))
     runs = np.zeros(len(n_grid) * replicas, RUNS_DTYPE)
     for name in ("delay_s", "distance_km", "lat", "lon"):
         runs[name] = math.nan
@@ -184,7 +185,7 @@ def run_campaign(
             hit = reps[fired]
             out["detected"][hit] = True
             out["delay_s"][hit] = time_s - eq.origin_time_s
-            out["distance_km"][hit] = haversine_km_from(lat, lon, eq.epicenter)
+            out["distance_km"][hit] = haversine_km_points(eq.epicenter, lat, lon)
             out["lat"][hit], out["lon"][hit] = lat, lon
     runs = runs.view(np.recarray)
     runs.flags.writeable = False

@@ -7,10 +7,11 @@ counter-based Philox generator, so replicas can run in any order with
 bit-identical results. Separate stream tags keep network sampling and
 trigger simulation decorrelated within one replica.
 
-The campaign draws all replicas of one n at once. :func:`seed_keys`
-computes the SeedSequence hash on arrays, :func:`philox_raws` reads each
-key's raw Philox words, and the draws are formulas on those words, bit for
-bit as ``Generator.random``, ``uniform`` and ``integers`` give them. So
+The campaign draws all replicas of one n at once, from catalogs below
+2**32 points. :func:`seed_keys` computes the SeedSequence hash on arrays
+of replicas below 2**32, one uint32 word each, :func:`philox_raws` reads
+each key's raw Philox words, and the draws are formulas on those words,
+bit for bit as ``Generator.random``, ``uniform`` and ``integers`` give them. So
 output bytes depend on SeedSequence, Philox and these formulas, not on
 ``Generator`` method internals, which NumPy's NEP 19 does not promise to
 keep across releases; only a replica whose network draw meets a Lemire
@@ -79,21 +80,15 @@ def seed_keys(master_seed: int, n: int, replicas: np.ndarray, stream: int) -> np
     (len(replicas), 2) uint64 array.
     """
     r = np.asarray(replicas, dtype=np.uint64)
-    keys = np.empty((r.size, 2), np.uint64)
-    for wide in (False, True):  # r takes one uint32 word below 2**32, two from there
-        rows = (r > _MASK32) == wide
-        if rows.any():
-            rr = r[rows]
-            replica_words = [rr & _MASK32, rr >> 32] if wide else [rr]
-            entropy = [np.full(rr.size, w, np.uint32) for w in _uint32_words(master_seed) + _uint32_words(n)]
-            entropy += [w.astype(np.uint32) for w in replica_words]
-            entropy += [np.full(rr.size, w, np.uint32) for w in _uint32_words(stream)]
-            keys[rows] = _seed_sequence_key(entropy)
-    return keys
+    in_range("replica", int(r.max(initial=0)), 0, _MASK32)  # one uint32 word of the entropy
+    entropy = [np.full(r.size, w, np.uint32) for w in _uint32_words(master_seed) + _uint32_words(n)]
+    entropy.append(r.astype(np.uint32))
+    entropy += [np.full(r.size, w, np.uint32) for w in _uint32_words(stream)]
+    return _seed_sequence_key(entropy)
 
 
 def _seed_sequence_key(entropy: list[np.ndarray]) -> np.ndarray:
-    """``SeedSequence(words).generate_state(2, np.uint64)`` for each row of the word columns."""
+    """``SeedSequence(words).generate_state(2, np.uint64)`` for each row of at least four word columns."""
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -107,8 +102,7 @@ def _seed_sequence_key(entropy: list[np.ndarray]) -> np.ndarray:
         out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
         return out ^ (out >> 16)
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_WORDS)]
+    pool = [hashmix(word) for word in entropy[:_POOL_WORDS]]
     for src in range(_POOL_WORDS):
         for dst in range(_POOL_WORDS):
             if src != dst:
@@ -319,10 +313,11 @@ def sample_network(cat: Catalog, n: int, seed: SeedSpec) -> Network:
 
 
 def check_network_size(n: int, N: int) -> None:
-    """The network size rule: 1 <= n <= N for a catalog of N points."""
+    """The network size rule: 1 <= n <= N < 2**32, as 32-bit Lemire draws need (:func:`sample_networks`)."""
     in_range("network size", n, 1)
     if n > N:
         raise EewsimError(f"network size {n} exceeds catalog size {N}")
+    in_range("catalog size", N, 1, _MASK32)
 
 
 def sample_networks(N: int, n: int, master_seed: int, replicas: np.ndarray) -> np.ndarray:
@@ -334,24 +329,18 @@ def sample_networks(N: int, n: int, master_seed: int, replicas: np.ndarray) -> n
     below (2**32 - (N - i)) mod (N - i), when it rejects u and takes the
     next. A step with one value, i = N - 1, draws nothing; it is the last
     step, so taking it as a draw with bound 1, which gives i whatever u
-    is, changes no value. A row with a rejection, and every row of a
-    catalog of 2**32 points or more, where ``Generator`` takes other paths,
-    draws from ``SeedSpec.generator``. Returns a (len(replicas), n) int64
-    array.
+    is, changes no value. A row with a rejection draws from
+    ``SeedSpec.generator``. Returns a (len(replicas), n) int64 array.
     """
     check_network_size(n, N)
     steps = np.arange(n)
-    if N <= _MASK32:
-        bound = (N - steps).astype(np.uint64)
-        raws = philox_raws(seed_keys(master_seed, n, replicas, STREAM_NETWORK), (n + 1) // 2)
-        scaled = raws.astype("<u8", copy=False).view("<u4")[:, :n] * bound
-        rejected = ((scaled & _MASK32) < (2**32 - bound) % bound).any(axis=1)
-        scaled >>= 32
-        js = scaled.view(np.int64)
-        js += steps
-    else:
-        js = np.empty((len(replicas), n), np.int64)
-        rejected = np.ones(len(replicas), bool)
+    bound = (N - steps).astype(np.uint64)
+    raws = philox_raws(seed_keys(master_seed, n, replicas, STREAM_NETWORK), (n + 1) // 2)
+    scaled = raws.astype("<u8", copy=False).view("<u4")[:, :n] * bound
+    rejected = ((scaled & _MASK32) < (2**32 - bound) % bound).any(axis=1)
+    scaled >>= 32
+    js = scaled.view(np.int64)
+    js += steps
     for row in np.flatnonzero(rejected).tolist():
         js[row] = SeedSpec(master_seed, n, int(replicas[row])).generator(STREAM_NETWORK).integers(steps, N)
     return _fisher_yates(js)

@@ -488,6 +488,7 @@ class TestBadConfig:
     @pytest.mark.parametrize("command, setting, argv, name", [
         pytest.param("simulate", "synth_n = 40", ["--replicas", str(2**62)], "replicas", id="replicas-2**62"),
         pytest.param("simulate", "synth_n = 40", ["--replicas", str(2**60)], "replicas", id="replicas-2**60"),
+        pytest.param("simulate", "synth_n = 40", ["--replicas", str(2**32)], "replicas", id="replicas-2**32"),
         pytest.param("synth", f"synth_n = {2**62}", [], "n_points", id="synth_n-2**62"),
     ])
     def test_count_too_large_to_allocate_exit_2(self, rundir, capsys, command, setting, argv, name):
@@ -502,12 +503,12 @@ class TestBadConfig:
         assert not (rundir / "out").exists()
 
     @pytest.mark.parametrize("error, message", [
-        pytest.param(MemoryError("Unable to allocate 1.27 TiB for an array with shape (5000000000,)"),
-                     "Unable to allocate 1.27 TiB for an array with shape (5000000000,)", id="numpy"),
+        pytest.param(MemoryError("Unable to allocate 1.09 TiB for an array with shape (21474836475,)"),
+                     "Unable to allocate 1.09 TiB for an array with shape (21474836475,)", id="numpy"),
         pytest.param(MemoryError(), "out of memory", id="bare"),
     ])
     def test_memory_error_exit_2(self, rundir, capsys, monkeypatch, error, message):
-        # a count numpy cannot allocate, such as --replicas 5000000000 on
+        # a count numpy cannot allocate, such as --replicas 4294967295 on
         # the demo config, exits 2 and leaves the outputs of the stages
         # before it unwritten
         def fail(*args, **kwargs):

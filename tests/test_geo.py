@@ -40,6 +40,8 @@ from testutil import (
     LINE_BREAKS_NOT_NEWLINES,
     cut_significant,
     format_ascii_grid_oracle,
+    haversine_km_pow,
+    haversine_tolerance_km,
     make_grid,
     midpoint_text,
     normalize_lon_scalar,
@@ -169,6 +171,22 @@ class TestHaversine:
         vec = haversine_km_points(origin, lats, lons)
         for i in range(50):
             assert vec[i] == haversine_km(origin, GeoPoint(lats[i], lons[i]))
+
+    @given(st.floats(-90, 90), st.floats(-180, 180, exclude_max=True),
+           st.lists(st.tuples(st.floats(-90, 90), st.floats(-180, 180, exclude_max=True)),
+                    min_size=1, max_size=40))
+    # libm's pow(x, 2) != x * x here; and the demo epicentre's antipode
+    @example(0.0, 4.0, [(50.821964642777516, 0.0)])
+    @example(18.45, -72.53, [(-18.45, 107.47), (-18.450000000000003, 107.47)])
+    def test_within_tolerance_of_pow_form(self, lat, lon, points):
+        # the distances runs.csv took from libm pow squares, with the
+        # detection as origin, move at most as far as a 16 x 2**-52 change
+        # in the haversine term moves them (haversine_tolerance_km)
+        to = GeoPoint(lat, lon)
+        lats, lons = map(np.array, zip(*points))
+        got = haversine_km_points(to, lats, lons).tolist()
+        for new, old in zip(got, haversine_km_pow(lats, lons, to).tolist()):
+            assert abs(new - old) <= haversine_tolerance_km(old), (new, old)
 
 
 class TestAsciiGrid:

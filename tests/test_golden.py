@@ -9,9 +9,11 @@ depend on numpy's SeedSequence hash, the Philox cipher and the formulas
 in ``eewsim.network`` on its raw words, not on ``Generator`` method
 internals, which NumPy's NEP 19 does not promise to keep across
 releases; only a replica whose network draw meets a Lemire rejection
-takes ``Generator.integers``. Another numpy release may still round
-``exp``, ``sin`` or ``arcsin`` differently, and then fail here without
-any change to eewsim.
+takes ``Generator.integers``. Every distance squares with ``np.square``,
+one correctly rounded product, so libm's ``pow`` does not enter them.
+Another numpy release may still round ``exp``, ``sin``, ``cos`` or
+``arcsin`` differently, or another libm the ``cos`` of the epicentre's
+latitude, and then fail here without any change to eewsim.
 """
 
 import hashlib

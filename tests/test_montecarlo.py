@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from eewsim import montecarlo
 from eewsim.detection import DetectorParams, PhoneParams
 from eewsim.errors import EewsimError
-from eewsim.geo import GeoPoint, cell_center, format_csv, haversine_km, haversine_km_from
+from eewsim.geo import GeoPoint, cell_center, format_csv, haversine_km, haversine_km_points
 from eewsim.montecarlo import (
     DensityGrid,
     RUNS_DTYPE,
@@ -306,13 +306,14 @@ class TestCampaignKernel:
     @given(st.lists(st.tuples(st.floats(-90, 90), st.floats(-180, 180, exclude_max=True)),
                     min_size=1, max_size=40),
            st.floats(-90, 90), st.floats(-180, 180, exclude_max=True))
-    # a numpy scalar's ** 2 (libm pow) and an array's (x * x) differ here
+    # libm's pow(x, 2), a numpy scalar's ** 2, and x * x differ here; the
+    # kernel's distances and the reference's both square with np.square
     @example([(50.821964642777516, 0.0)], 0.0, 4.0)
     def test_distances_equal_haversine_km(self, points, lat, lon):
         to = GeoPoint(lat, lon)
         lats, lons = map(np.array, zip(*points))
-        want = [haversine_km(GeoPoint(a, b), to) for a, b in points]
-        assert haversine_km_from(lats, lons, to).tolist() == want
+        want = [haversine_km(to, GeoPoint(a, b)) for a, b in points]
+        assert haversine_km_points(to, lats, lons).tolist() == want
 
     def test_arrivals_of_any_subset_equal_the_network_ones(self, demo_catalog, demo_quake, vmodel):
         # the kernel computes each P arrival once, on the points not seen

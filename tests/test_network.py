@@ -591,19 +591,25 @@ class TestPhiloxFormulas:
     @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("n", [1, 3000, 2**32 - 1, 2**32, 2**40])
     def test_keys_match_seed_sequence(self, master_seed, n):
-        replicas = np.array([0, 1, 999, 2**32 - 1, 2**32, 2**63 + 5], np.uint64)
+        replicas = np.array([0, 1, 999, 2**32 - 1], np.uint64)
         for stream in (STREAM_NETWORK, STREAM_TRIGGERS):
             want = [self.numpy_key(master_seed, n, int(r), stream) for r in replicas]
             np.testing.assert_array_equal(seed_keys(master_seed, n, replicas, stream), want)
 
+    @pytest.mark.parametrize("replica", [2**32, 2**63 + 5])
+    def test_keys_reject_replicas_from_2_32(self, replica):
+        # a replica is one uint32 word of the entropy; a larger one must not wrap
+        with pytest.raises(EewsimError, match=rf"^replica must be in \[0, 4294967295\], got {replica}$"):
+            seed_keys(3, 10, np.array([0, replica], np.uint64), STREAM_TRIGGERS)
+
     @given(st.integers(0, 2**64 - 1), st.integers(1, 2**48),
-           st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+           st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
     def test_keys_match_seed_sequence_property(self, master_seed, n, replicas):
         got = seed_keys(master_seed, n, np.array(replicas, np.uint64), STREAM_TRIGGERS)
         want = [self.numpy_key(master_seed, n, r, STREAM_TRIGGERS) for r in replicas]
         np.testing.assert_array_equal(got, want)
 
-    @given(st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(0, 2**33),
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(0, 2**32 - 1),
            st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     def test_random_and_uniform_match_generator(self, master_seed, n, replica, lo, width):
         hi = lo + width
@@ -639,14 +645,19 @@ class TestPhiloxFormulas:
             want = sparse_sample_indices(generator(SeedSpec(11, n, r), STREAM_NETWORK), N, n)
             assert got[r].tolist() == want.tolist(), r
 
-    @pytest.mark.parametrize("N", [2**31 + 1, 2**32 - 1, 2**32, 2**32 + 7])
+    @pytest.mark.parametrize("N", [2**31 + 1, 2**32 - 1])
     def test_huge_catalogs_match_generator(self, N):
-        # near 2**32 about half the draws reject; from 2**32 every row takes
-        # Generator.integers, whose draws there are no longer 32-bit Lemire
+        # near 2**32 about half the draws reject
         got = sample_networks(N, 5, 3, np.arange(6))
         for r in range(6):
             want = sparse_sample_indices(SeedSpec(3, 5, r).generator(STREAM_NETWORK), N, 5)
             assert got[r].tolist() == want.tolist()
+
+    @pytest.mark.parametrize("N", [2**32, 2**32 + 7])
+    def test_catalogs_from_2_32_points_rejected(self, N):
+        # from 2**32 Generator.integers no longer draws 32-bit Lemire
+        with pytest.raises(EewsimError, match=rf"^catalog size must be in \[1, 4294967295\], got {N}$"):
+            sample_networks(N, 5, 3, np.arange(6))
 
     def test_errors_match_sample_network(self):
         with pytest.raises(EewsimError, match=r"^network size 5 exceeds catalog size 4$"):

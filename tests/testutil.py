@@ -10,7 +10,7 @@ import numpy as np
 
 from eewsim.detection import Triggers
 from eewsim.errors import EewsimError
-from eewsim.geo import _HEADER_KEYS, GeoPoint, Grid, _is_number
+from eewsim.geo import _HEADER_KEYS, EARTH_RADIUS_KM, GeoPoint, Grid, _is_number
 from eewsim.montecarlo import RUNS_DTYPE, _runs, percentile, silverman_bandwidth_deg
 from eewsim.network import Catalog
 from eewsim.scenario import hypocentral_km_points, p_arrivals_s, s_arrivals_s
@@ -77,6 +77,35 @@ def sample_at(grid: Grid, p: GeoPoint) -> float | None:
 
 def catalog_point(cat: Catalog, i: int) -> GeoPoint:
     return GeoPoint(float(cat.lats[i]), float(cat.lons[i]))
+
+
+def haversine_km_pow(lats, lons, to: GeoPoint) -> np.ndarray:
+    """The distance from each (lat, lon) to ``to`` in the form runs.csv took before
+    ``haversine_km_points`` was its one path: each point is the origin and the
+    squares are libm's ``pow``. The oracle of a declared possible last-bit change.
+    """
+    lat0 = np.radians(lats)
+    lat = np.radians(to.lat)
+    halves = np.sin((lat - lat0) / 2.0), np.sin((np.radians(to.lon) - np.radians(lons)) / 2.0)
+    sq_lat, sq_lon = (np.array([math.pow(x, 2) for x in h.tolist()]) for h in halves)
+    a = sq_lat + np.cos(lat0) * np.cos(lat) * sq_lon
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+
+
+def haversine_tolerance_km(d_km: float, ulps: int = 16) -> float:
+    """How far a distance near ``d_km`` may move when its haversine term moves by
+    ``ulps`` x 2**-52 of itself and ``ulps`` subnormal steps, plus ``ulps`` ulps
+    of the distance itself.
+
+    The term is a = sin(d / 2R)**2, and d = 2R asin(sqrt(a)), whose slope
+    grows without bound as d nears half the circumference: there a one-ulp
+    change in a moves d by up to about 2e-4 km.
+    """
+    a = math.sin(d_km / (2.0 * EARTH_RADIUS_KM)) ** 2
+    eps, tiny = ulps * 2.0**-52, ulps * math.ulp(0.0)
+    lo, hi = max(0.0, a * (1.0 - eps) - tiny), min(1.0, a * (1.0 + eps) + tiny)
+    spread = 2.0 * EARTH_RADIUS_KM * (math.asin(math.sqrt(hi)) - math.asin(math.sqrt(lo)))
+    return spread + ulps * math.ulp(d_km)
 
 
 # one-point forms of the scenario's array functions, kept as their oracles
